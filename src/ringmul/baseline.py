@@ -14,6 +14,10 @@ Multiplication counts (l x n times n x m):
     winograd_even  n*(l*m + l + m)/2          (n even)
     waksman_even   n*(l*m + l + m - 1)/2      (n even, needs halving)
     waksman_odd    (n-1)*(l*m + l + m - 1)/2 + l*m   (n odd)
+
+Exact halvings: waksman_even performs 2*(l + m - 1), one per sign-split
+sum, whatever n is; waksman_odd inherits that count from its even part
+(none when n = 1).  naive and winograd_even perform none.
 """
 
 from __future__ import annotations
@@ -78,6 +82,28 @@ def winograd_even(A, B):
     return Matrix(A.ring, l, m, out)
 
 
+def _sign_split(a, brows, j, h):
+    """Both sign variants of row a against column j, halved once per sum.
+
+    With P(+/-) = (a_{2k-1} +/- b_{2k,j})(a_{2k} +/- b_{2k-1,j}), returns
+    (sum_k (P+ - P-)/2, sum_k (P+ + P-)/2) = (c, r + s).  Each summand is
+    twice a ring element, so each total is too, and one exact halving per
+    total suffices on any 2-torsion-free ring.
+    """
+    diff = None
+    total = None
+    for k in range(h):
+        x, y = a[2 * k], a[2 * k + 1]
+        u, v = brows[2 * k + 1][j], brows[2 * k][j]
+        pp = (x + u) * (y + v)
+        pm = (x - u) * (y - v)
+        d = pp - pm
+        t = pp + pm
+        diff = d if diff is None else diff + d
+        total = t if total is None else total + t
+    return halve_exact(diff), halve_exact(total)
+
+
 def waksman_even(A, B):
     """Paired inner products with sign splitting, for even inner dimension.
 
@@ -90,7 +116,9 @@ def waksman_even(A, B):
         c_ij = sum_k (a_{i,2k-1}+b_{2k,j})(a_{i,2k}+b_{2k-1,j}) - t_i - u_j + t_1
 
     Total: l*n + (m-1)*n + (l-1)(m-1)n/2 = n(lm+l+m-1)/2 multiplications.
-    Halved operands are sums/differences of matched parity, so halving is
+    The differences and sums are accumulated over k first and each total
+    is halved once, so the schedule performs 2(l+m-1) exact halvings,
+    independent of n.  Every summand has the form y + y, so halving is
     exact over any 2-torsion-free ring.
     """
     _check_inner(A, B)
@@ -107,37 +135,11 @@ def waksman_even(A, B):
     c = [[None] * m for _ in range(l)]
     t = [None] * l
     for i in range(l):
-        a = arows[i]
-        cacc = None
-        tacc = None
-        for k in range(h):
-            x, y = a[2 * k], a[2 * k + 1]
-            u, v = brows[2 * k + 1][0], brows[2 * k][0]
-            pp = (x + u) * (y + v)
-            pm = (x - u) * (y - v)
-            cterm = halve_exact(pp - pm)
-            tterm = halve_exact(pp + pm)
-            cacc = cterm if cacc is None else cacc + cterm
-            tacc = tterm if tacc is None else tacc + tterm
-        c[i][0] = cacc
-        t[i] = tacc
+        c[i][0], t[i] = _sign_split(arows[i], brows, 0, h)
 
     u_col = [None] * m
-    a0 = arows[0]
     for j in range(1, m):
-        cacc = None
-        uacc = None
-        for k in range(h):
-            x, y = a0[2 * k], a0[2 * k + 1]
-            u, v = brows[2 * k + 1][j], brows[2 * k][j]
-            pp = (x + u) * (y + v)
-            pm = (x - u) * (y - v)
-            cterm = halve_exact(pp - pm)
-            uterm = halve_exact(pp + pm)
-            cacc = cterm if cacc is None else cacc + cterm
-            uacc = uterm if uacc is None else uacc + uterm
-        c[0][j] = cacc
-        u_col[j] = uacc
+        c[0][j], u_col[j] = _sign_split(arows[0], brows, j, h)
 
     t1 = t[0]
     for i in range(1, l):

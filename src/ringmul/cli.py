@@ -16,12 +16,14 @@ field.  A plain-text alternative is accepted on input: first line
 
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error.  No environment variables are consulted; the
-default seed is 0.
+default seed is 0.  Integer entries of any size round-trip exactly:
+mul lifts the interpreter's 4300-digit int/str limit while it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import statistics
@@ -128,6 +130,28 @@ def _fail(code, message):
     return code
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's int/str digit limit, restoring it on exit.
+
+    Python refuses by default to convert ints of more than 4300 decimal
+    digits to or from str, which would break the lossless matrix format
+    exactly where big entries make the fast schedules pay off.
+    Interpreters that predate the limit have no setter and need nothing.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@_int_digits_unlimited()
 def cmd_mul(args):
     try:
         ra, ca, ea, mod_a = _load_matrix_file(args.a)
@@ -392,6 +416,8 @@ def _needs_halving(strategy, n):
 
 
 def cmd_bench(args):
+    if args.reps < 1:
+        return _fail(2, f"--reps must be >= 1, got {args.reps}")
     try:
         l, n, m = _parse_triple(args.shape, "--shape")
         ring, draw = _bench_ring(args.ring)

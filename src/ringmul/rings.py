@@ -16,13 +16,17 @@ from dataclasses import dataclass
 
 from .errors import ExactHalveUnavailable, NotEvenlyDivisible
 
+_new = object.__new__
+
 
 def halve_exact(x):
     """Return y with y + y == x.
 
     Exact halving exists on 2-torsion-free rings (integers, odd moduli,
     integer polynomials).  It is division by a fixed unit, not a general
-    ring multiplication, and is never tallied.
+    ring multiplication, and is never tallied.  It costs no multiply in
+    practice either: ``x // 2`` on integers, a shift on residues of an
+    odd modulus.
 
     Raises NotEvenlyDivisible when x is not of the form y + y, and
     ExactHalveUnavailable when the element's ring has no halving at all.
@@ -92,41 +96,63 @@ ZZ = IntegerRing()
 
 
 class Mod:
-    """Residue in Z/mZ, always stored reduced."""
+    """Residue in Z/mZ, always stored reduced: 0 <= value < modulus.
 
-    __slots__ = ("value", "modulus")
+    ``Mod(v, m)`` reduces any int v with ``%``.  Results of the operators
+    are reduced as cheaply as their range allows: a sum or difference of
+    reduced residues lies within one modulus of [0, m), so one
+    conditional add or subtract of m suffices; a product reduces with
+    the mask ``& (m - 1)`` when m is a power of two and with ``%``
+    otherwise; halving at an odd modulus is a shift.
+    """
+
+    __slots__ = ("value", "modulus", "_pow2")
 
     def __init__(self, value, modulus):
         self.value = value % modulus
         self.modulus = modulus
+        # When m is a power of two, x & (m - 1) == x % m.  A flag, not the
+        # mask itself, so that elements do not each hold a copy of m - 1.
+        self._pow2 = modulus & (modulus - 1) == 0
 
-    def _coerce(self, other):
-        if not isinstance(other, Mod):
-            return None
+    def _like(self, value):
+        """Residue with this modulus; value must already lie in [0, modulus)."""
+        r = _new(Mod)
+        r.value = value
+        r.modulus = self.modulus
+        r._pow2 = self._pow2
+        return r
+
+    def _check(self, other):
         if other.modulus != self.modulus:
             raise ValueError(f"mixed moduli {self.modulus} and {other.modulus}")
-        return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Mod):
             return NotImplemented
-        return Mod(self.value + other.value, self.modulus)
+        self._check(other)
+        s = self.value + other.value
+        m = self.modulus
+        return self._like(s - m if s >= m else s)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Mod):
             return NotImplemented
-        return Mod(self.value - other.value, self.modulus)
+        self._check(other)
+        d = self.value - other.value
+        return self._like(d + self.modulus if d < 0 else d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Mod):
             return NotImplemented
-        return Mod(self.value * other.value, self.modulus)
+        self._check(other)
+        p = self.value * other.value
+        m = self.modulus
+        return self._like(p & (m - 1) if self._pow2 else p % m)
 
     def __neg__(self):
-        return Mod(-self.value, self.modulus)
+        v = self.value
+        return self._like(self.modulus - v if v else 0)
 
     def __eq__(self, other):
         return (
@@ -141,9 +167,13 @@ class Mod:
     def halve(self):
         # 2 is invertible exactly when the modulus is odd; for even moduli
         # x = y + y does not determine y, so the capability is absent.
-        if self.modulus % 2 == 0:
-            raise ExactHalveUnavailable(f"2 is not invertible mod {self.modulus}")
-        return Mod(self.value * ((self.modulus + 1) // 2), self.modulus)
+        # At odd m, exactly one of v and v + m is even, and half of it is
+        # below m.
+        m = self.modulus
+        if not m & 1:
+            raise ExactHalveUnavailable(f"2 is not invertible mod {m}")
+        v = self.value
+        return self._like((v + m if v & 1 else v) >> 1)
 
     def __repr__(self):
         return f"Mod({self.value}, {self.modulus})"

@@ -8,9 +8,12 @@ from ringmul import (
     IntegerRing,
     Matrix,
     ModularRing,
+    PolynomialRing,
+    Ring,
     ShapeError,
     UnsupportedShape,
     ZZ,
+    halve_exact,
     matrix_from_ints,
     naive,
     random_matrix,
@@ -129,6 +132,61 @@ def test_waksman_even_odd_modulus_ok():
     A = random_matrix(ring, 2, 4, rng)
     B = random_matrix(ring, 4, 2, rng)
     assert waksman_even(A, B) == naive(A, B)
+
+
+class _HalvingTally(Ring):
+    """Wraps a base ring; its elements count exact halvings here."""
+
+    supports_halving = True
+
+    def __init__(self, base):
+        self.name = f"halvings({base.name})"
+        self.halvings = 0
+
+
+class _Halved:
+    __slots__ = ("ring", "v")
+
+    def __init__(self, ring, v):
+        self.ring = ring
+        self.v = v
+
+    def __add__(self, o):
+        return _Halved(self.ring, self.v + o.v)
+
+    def __sub__(self, o):
+        return _Halved(self.ring, self.v - o.v)
+
+    def __mul__(self, o):
+        return _Halved(self.ring, self.v * o.v)
+
+    def __neg__(self):
+        return _Halved(self.ring, -self.v)
+
+    def halve(self):
+        self.ring.halvings += 1
+        return _Halved(self.ring, halve_exact(self.v))
+
+
+@pytest.mark.parametrize("l,n,m", [(3, 6, 4), (1, 4, 5), (5, 2, 1)])
+@pytest.mark.parametrize(
+    "base",
+    [IntegerRing(), ModularRing(2**61 - 1), PolynomialRing(["x", "y", "z"])],
+    ids=["int", "mod-odd", "poly"],
+)
+def test_waksman_even_halves_each_sum_once(base, l, n, m):
+    rng = random.Random(l * 100 + n * 10 + m)
+    A = random_matrix(base, l, n, rng)
+    B = random_matrix(base, n, m, rng)
+    tally = _HalvingTally(base)
+
+    def lift(M):
+        return M.map_entries(lambda v: _Halved(tally, v), ring=tally)
+
+    product = waksman_even(lift(A), lift(B))
+    # one halving per sign-split sum: l for column 1, m - 1 for row 1, two each
+    assert tally.halvings == 2 * (l + m - 1)
+    assert [e.v for e in product.data] == naive(A, B).data
 
 
 def test_waksman_even_rejects_odd_inner():

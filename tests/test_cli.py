@@ -1,4 +1,7 @@
+import contextlib
 import json
+import random
+import sys
 
 import pytest
 
@@ -129,9 +132,59 @@ def test_mul_big_integers_use_decimal_strings(tmp_path, capsys):
     assert entries == [big * big]
 
 
-def test_mul_matches_naive_oracle_on_random_fixtures(tmp_path, capsys):
-    import random
+@contextlib.contextmanager
+def _digits_unlimited():
+    # For the test's own conversions of ints beyond 4300 decimal digits;
+    # the CLI calls run outside it, under the interpreter's default limit.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
+
+@pytest.mark.parametrize(
+    "bits,encode,modulus",
+    [
+        (8192, str, None),  # the product exceeds 4300 digits
+        (16384, str, None),  # the inputs do, as decimal strings
+        (16384, int, None),  # and as bare JSON integers
+        (16384, int, 2**16384 + 1),  # and so does the modulus
+    ],
+    ids=["int8192-str", "int16384-str", "int16384-bare", "mod16384-bare"],
+)
+def test_mul_huge_entries_round_trip(tmp_path, capsys, bits, encode, modulus):
+    rng = random.Random(bits)
+    a = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(9)]
+    b = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(9)]
+    want = [sum(a[3 * i + k] * b[3 * k + j] for k in range(3)) for i in range(3) for j in range(3)]
+    extra = {}
+    if modulus is not None:
+        a, b = [v % modulus for v in a], [v % modulus for v in b]
+        want = [v % modulus for v in want]
+        extra = {"modulus": modulus}
+    with _digits_unlimited():
+        fa = _write(tmp_path / "a.json", {"rows": 3, "cols": 3, **extra, "data": [encode(v) for v in a]})
+        fb = _write(tmp_path / "b.json", {"rows": 3, "cols": 3, **extra, "data": [encode(v) for v in b]})
+        eye = _write(tmp_path / "i.json", {"rows": 3, "cols": 3, **extra, "data": I3["data"]})
+    limit = sys.get_int_max_str_digits()
+    out, again = tmp_path / "c.json", tmp_path / "c2.json"
+    code, _, stderr = _run(capsys, ["mul", "--a", fa, "--b", fb, "--out", str(out)])
+    assert code == 0, stderr
+    assert sys.get_int_max_str_digits() == limit
+    with _digits_unlimited():
+        product = json.loads(out.read_text())
+    assert product.get("modulus") == modulus
+    with _digits_unlimited():
+        assert [int(v) for v in product["data"]] == want
+    # the emitted file is a valid input that re-encodes byte for byte
+    code, _, stderr = _run(capsys, ["mul", "--a", str(out), "--b", eye, "--out", str(again)])
+    assert code == 0, stderr
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_mul_matches_naive_oracle_on_random_fixtures(tmp_path, capsys):
     from ringmul import ZZ, matrix_from_ints, naive
 
     rng = random.Random(21)
@@ -254,6 +307,13 @@ def test_bench_unsupported_explicit_strategy_exit_2(capsys):
 def test_bench_capability_mismatch_exit_3(capsys):
     code, _, _ = _run(capsys, ["bench", "--shape", "2,4,3", "--ring", "mod:6", "--strategy", "waksman-even"])
     assert code == 3
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_nonpositive_reps_exit_2(capsys, reps):
+    code, _, stderr = _run(capsys, ["bench", "--shape", "2,4,3", "--reps", reps])
+    assert code == 2
+    assert "--reps" in stderr
 
 
 def test_bench_bad_ring_spec_exit_2(capsys):

@@ -1,6 +1,9 @@
+import operator
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringmul import (
     Counted,
@@ -75,6 +78,81 @@ def test_mod_arithmetic_stays_reduced():
 def test_mod_mixed_moduli_rejected():
     with pytest.raises(ValueError):
         Mod(1, 5) + Mod(1, 7)
+
+
+# Small moduli of every kind, the benchmark's word-sized ones, and 4096-bit
+# moduli on both sides of the power-of-two reduction.
+ODD_4096 = random.Random(4096).getrandbits(4096) | (1 << 4095) | 1
+MODULI = [2, 3, 4, 6, 7, 2**61 - 1, 2**64, 2**4096, ODD_4096]
+MODULUS_IDS = ["2", "3", "4", "6", "7", "2^61-1", "2^64", "2^4096", "odd4096"]
+BINARY_OPS = (operator.add, operator.sub, operator.mul)
+
+
+def _check_ops(x, y, m):
+    # reference: the same operation on plain ints, reduced with %
+    X, Y = Mod(x, m), Mod(y, m)
+    results = [(op(X, Y), op(x, y) % m) for op in BINARY_OPS] + [(-X, -x % m)]
+    for got, want in results:
+        assert got.modulus == m
+        assert got.value == want
+        assert 0 <= got.value < m
+
+
+def _check_halve(x, m):
+    X = Mod(x, m)
+    if m % 2:
+        half = X.halve()
+        assert 0 <= half.value < m
+        assert half + half == X
+    else:
+        with pytest.raises(ExactHalveUnavailable):
+            X.halve()
+
+
+def _residues(m):
+    return st.one_of(st.sampled_from([0, 1, m - 1]), st.integers(0, m - 1))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_mod_ops_exhaustive_small_moduli(m):
+    for x in range(m):
+        _check_halve(x, m)
+        for y in range(m):
+            _check_ops(x, y, m)
+
+
+@pytest.mark.parametrize("m", MODULI, ids=MODULUS_IDS)
+def test_mod_ops_at_range_ends(m):
+    ends = (0, 1, m - 1)
+    for x in ends:
+        _check_halve(x, m)
+        for y in ends:
+            _check_ops(x, y, m)
+
+
+@pytest.mark.parametrize("m", MODULI, ids=MODULUS_IDS)
+@given(data=st.data())
+def test_mod_ops_match_reference(m, data):
+    x = data.draw(_residues(m), label="x")
+    y = data.draw(_residues(m), label="y")
+    _check_ops(x, y, m)
+    _check_halve(x, m)
+
+
+@pytest.mark.parametrize("m", MODULI, ids=MODULUS_IDS)
+@given(v=st.integers())
+def test_mod_constructor_reduces_any_int(m, v):
+    assert Mod(v, m).value == v % m
+
+
+def test_mod_mixed_moduli_rejected_both_orders():
+    for m1 in MODULI:
+        for m2 in MODULI:
+            if m1 == m2:
+                continue
+            for op in BINARY_OPS:
+                with pytest.raises(ValueError):
+                    op(Mod(1, m1), Mod(1, m2))
 
 
 def test_axioms_hold_for_integers():
