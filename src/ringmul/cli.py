@@ -4,7 +4,7 @@
                 [--out C.json] [--report]
     ringmul table --lmax L --nmax N --mmax M [--format csv|json]
     ringmul verify [--suite symbolic|random|counts|all] [--seed S]
-                [--max-shape L,N,M]
+                [--max-shape L,N,M]   (each bound at most 16)
     ringmul bench --shape l,n,m [--ring int:BITS|mod:P] [--reps R]
                 [--format csv|json] [--strategy NAME]
 
@@ -43,6 +43,10 @@ from .rings import IntegerRing, ModularRing
 
 _CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
 _JSON_SAFE = 1 << 53
+#: Largest bound verify accepts in each of L, N, M.  The suites' run time
+#: grows about with the square of L*N*M; 16,16,16 takes about 80 s on a
+#: shared 2-core VM.
+_VERIFY_SHAPE_CAP = 16
 
 
 class _InputError(Exception):
@@ -364,6 +368,8 @@ def cmd_verify(args):
         lmax, nmax, mmax = _parse_triple(args.max_shape, "--max-shape")
     except _InputError as e:
         return _fail(2, str(e))
+    if max(lmax, nmax, mmax) > _VERIFY_SHAPE_CAP:
+        return _fail(2, f"--max-shape values must be <= {_VERIFY_SHAPE_CAP}, got {args.max_shape!r}")
     runners = {
         "counts": _verify_counts,
         "random": _verify_random,
@@ -513,7 +519,11 @@ def build_parser():
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all", choices=("symbolic", "random", "counts", "all"))
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--max-shape", default="3,7,6", help="L,N,M bounds for the suites")
+    ver.add_argument(
+        "--max-shape",
+        default="3,7,6",
+        help=f"L,N,M bounds for the suites, each at most {_VERIFY_SHAPE_CAP}",
+    )
     ver.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="wall-clock strategy comparison")

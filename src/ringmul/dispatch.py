@@ -1,5 +1,5 @@
 """Strategy selection, closed-form count prediction, and the front-door
-multiply that runs a strategy under instrumentation."""
+multiply that counts each (kernel, shape) once and then runs bare."""
 
 from __future__ import annotations
 
@@ -43,7 +43,12 @@ _KERNELS = {
 
 @dataclass(frozen=True)
 class CostReport:
-    """Observed multiplication tally next to the formula prediction."""
+    """Observed multiplication tally next to the formula prediction.
+
+    observed is the tally of a counted run of this kernel at this shape:
+    the first run in the process, which later runs of the same kernel and
+    shape repeat without counting (see multiply).
+    """
 
     strategy: Strategy
     l: int
@@ -136,12 +141,24 @@ def choose_strategy(l, n, m, supports_halving=True):
     return Strategy.NAIVE
 
 
+#: Audited multiplication tallies keyed by (kernel-table entry, l, n, m).
+#: Each key is written once, after a counted run of that kernel succeeds;
+#: two threads missing together only repeat the audit.
+_AUDITED = {}
+#: The table is cleared when it reaches this many keys.
+_AUDITED_MAX = 1024
+
+
 def multiply(A, B, strategy=Strategy.AUTO):
     """Multiply two matrices with a chosen (or auto-selected) strategy.
 
-    Runs the kernel over an instrumented view of the input ring and
-    returns (product, CostReport); the report's observed field is the
-    actual multiplication tally of this run.
+    Returns (product, CostReport).  Every kernel is a straight-line program
+    over the element operators, so its multiplication count depends on
+    the shape alone.  The first product of a given kernel and shape runs
+    over an instrumented view of the input ring and records its tally;
+    later products of that kernel and shape run on the caller's elements
+    unwrapped and report the recorded tally as observed.  A kernel
+    replaced in the kernel table is a new key and is counted afresh.
     """
     if A.cols != B.rows:
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
@@ -151,6 +168,16 @@ def multiply(A, B, strategy=Strategy.AUTO):
     if strategy is Strategy.AUTO:
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
     predicted = predict_count(strategy, l, n, m)
-    ctx = CountedRing(A.ring)
-    product = kernel_for(strategy)(ctx.lift(A), ctx.lift(B))
-    return ctx.unwrap(product), CostReport(strategy, l, n, m, predicted, ctx.tally.count)
+    kernel = kernel_for(strategy)
+    key = (_KERNELS[strategy], l, n, m)
+    observed = _AUDITED.get(key)
+    if observed is not None:
+        product = kernel(A, B)
+    else:
+        ctx = CountedRing(A.ring)
+        product = ctx.unwrap(kernel(ctx.lift(A), ctx.lift(B)))
+        observed = ctx.tally.count
+        if len(_AUDITED) >= _AUDITED_MAX:
+            _AUDITED.clear()
+        _AUDITED[key] = observed
+    return product, CostReport(strategy, l, n, m, predicted, observed)

@@ -110,7 +110,9 @@ class PolynomialRing(Ring):
         self.names = tuple(names)
         self.nvars = len(self.names)
         self.max_terms = max_terms
-        self.name = f"poly[{self.nvars}]"
+        # Rings compare by name, so the name carries the variables: poly[x,y]
+        # and poly[a,b] are different rings.
+        self.name = f"poly[{','.join(self.names)}]"
         self._zero_exp = (0,) * self.nvars
 
     def zero(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import baseline, core3, dispatch
+from . import baseline, core3
 from .dispatch import CostReport, Strategy, kernel_for, predict_count
 from .errors import CountMismatch, TermBudgetExceeded, WitnessNotFound
 from .matrices import Matrix, random_matrix
@@ -159,42 +159,43 @@ def randomized_check(strategy, l, n, m, ring=None, trials=100, seed=0):
     return RandomCheckReport(strategy, l, n, m, trials, trials)
 
 
+def _counted_run(kernel, l, n, m, rng):
+    """Run kernel once over a fresh CountedRing on random integer inputs
+    drawn from rng; returns the context holding the tallies."""
+    ring = IntegerRing()
+    ctx = CountedRing(ring)
+    kernel(ctx.lift(random_matrix(ring, l, n, rng)), ctx.lift(random_matrix(ring, n, m, rng)))
+    return ctx
+
+
 def count_audit(strategy, l, n, m, trials=2, seed=0):
     """Assert the tally is the predicted count and input-independent.
 
-    Runs the strategy on at least two distinct random inputs; raises
+    Counts the strategy's kernel afresh, each trial over its own
+    CountedRing, on at least two distinct random inputs; raises
     CountMismatch if any tally differs from the closed-form prediction
     (they cannot differ from each other then).  Returns the CostReport.
     """
     trials = max(2, trials)
     predicted = predict_count(strategy, l, n, m)
-    ring = IntegerRing()
+    kernel = kernel_for(strategy)
     rng = random.Random(seed)
-    report = None
     for _ in range(trials):
-        A = random_matrix(ring, l, n, rng)
-        B = random_matrix(ring, n, m, rng)
-        _, report = dispatch.multiply(A, B, strategy)
-        if report.observed != predicted:
+        observed = _counted_run(kernel, l, n, m, rng).tally.count
+        if observed != predicted:
             raise CountMismatch(
-                f"{strategy} on ({l},{n},{m}): predicted {predicted}, observed {report.observed}",
+                f"{strategy} on ({l},{n},{m}): predicted {predicted}, observed {observed}",
                 predicted=predicted,
-                observed=report.observed,
+                observed=observed,
             )
-    return CostReport(strategy, l, n, m, predicted, report.observed)
+    return CostReport(strategy, l, n, m, predicted, observed)
 
 
 def taint_audit(strategy, l, n, m, seed=0):
     """Count multiplications that consumed an operand not derived from
     the input matrices.  The schedules here never multiply by injected
     constants, so this is zero for every supported shape."""
-    ring = IntegerRing()
-    rng = random.Random(seed)
-    ctx = CountedRing(ring)
-    A = ctx.lift(random_matrix(ring, l, n, rng))
-    B = ctx.lift(random_matrix(ring, n, m, rng))
-    kernel_for(strategy)(A, B)
-    return ctx.untainted_muls
+    return _counted_run(kernel_for(strategy), l, n, m, random.Random(seed)).untainted_muls
 
 
 @dataclass

@@ -282,6 +282,25 @@ def test_verify_bad_max_shape_exit_2(capsys):
     assert "max-shape" in stderr
 
 
+@pytest.mark.parametrize("bounds", ["1000,1000,1000", "17,1,1", "1,17,1", "1,1,17"])
+def test_verify_max_shape_above_cap_exits_2_at_once(capsys, monkeypatch, bounds):
+    def never(*args):
+        raise AssertionError("a suite ran despite the rejected bounds")
+
+    for runner in ("_verify_counts", "_verify_random", "_verify_symbolic"):
+        monkeypatch.setattr(cli, runner, never)
+    code, stdout, stderr = _run(capsys, ["verify", "--max-shape", bounds])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and "<= 16" in stderr
+
+
+def test_verify_max_shape_at_cap_runs(capsys):
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "counts", "--max-shape", "16,1,1"])
+    assert code == 0
+    assert json.loads(stdout)["max_shape"] == [16, 1, 1]
+
+
 def test_bench_csv_includes_applicable_strategies(capsys):
     code, stdout, _ = _run(capsys, ["bench", "--shape", "3,3,3", "--ring", "int:64", "--reps", "2"])
     assert code == 0

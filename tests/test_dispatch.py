@@ -1,15 +1,24 @@
 import random
+import sys
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ringmul.dispatch as dispatch
 from ringmul import (
+    CountedRing,
     Matrix,
     ModularRing,
+    PolynomialRing,
     ShapeError,
     Strategy,
     UnsupportedShape,
     ZZ,
     choose_strategy,
+    kernel_for,
     matrix_from_ints,
     multiply,
     naive,
@@ -209,3 +218,163 @@ def test_multiply_shape_and_ring_checks():
     B = matrix_from_ints(ModularRing(5), [[1], [2]])
     with pytest.raises(ValueError):
         multiply(A, B)
+    # polynomial rings of equal arity over different variables differ too;
+    # the (kernel, shape) key is warm, so the mismatch meets the bare path
+    xy = PolynomialRing(("x", "y"))
+    ab = PolynomialRing(("a", "b"))
+    A = matrix_from_ints(xy, [[2, 3]])
+    product, _ = multiply(A, matrix_from_ints(xy, [[1], [4]]))
+    assert product.to_rows() == [[xy.from_int(14)]]
+    with pytest.raises(ValueError, match="different rings"):
+        multiply(A, matrix_from_ints(ab, [[1], [4]]))
+    with pytest.raises(ValueError):
+        CountedRing(xy).lift(matrix_from_ints(ab, [[1]]))
+
+
+# ---------------------------------------------------------------------------
+# the audit table: one counted run per (kernel, shape), bare runs after it
+
+
+def _random_pair(ring, l, n, m, rng):
+    return random_matrix(ring, l, n, rng), random_matrix(ring, n, m, rng)
+
+
+def test_warm_multiply_skips_instrumentation(monkeypatch):
+    rng = random.Random(6)
+    multiply(*_random_pair(ZZ, 3, 5, 4, rng))
+
+    def refuse(self, matrix):
+        raise AssertionError("CountedRing.lift on a warm (kernel, shape)")
+
+    monkeypatch.setattr(CountedRing, "lift", refuse)
+    A, B = _random_pair(ZZ, 3, 5, 4, rng)
+    product, report = multiply(A, B)
+    assert product == naive(A, B)
+    assert report.strategy is Strategy.GENERAL_ODD
+    assert report.observed == report.predicted == 46
+
+
+def test_replaced_kernel_is_audited_afresh(monkeypatch):
+    A = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
+    assert multiply(A, A, Strategy.NAIVE)[1].observed == 8
+    original = dispatch._KERNELS[Strategy.NAIVE]
+
+    def doubled(A, B):
+        first = original(A, B)
+        original(A, B)  # run twice: tally doubles
+        return first
+
+    monkeypatch.setitem(dispatch._KERNELS, Strategy.NAIVE, doubled)
+    # the first call counts the new kernel; every later report repeats it
+    for _ in range(2):
+        product, report = multiply(A, A, Strategy.NAIVE)
+        assert product == naive(A, A)
+        assert (report.predicted, report.observed) == (8, 16)
+
+
+def test_audit_table_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(dispatch, "_AUDITED", {})
+    A = matrix_from_ints(ZZ, [[5]])
+    sizes = []
+    for _ in range(dispatch._AUDITED_MAX + 3):
+        # a fresh kernel object is a fresh key
+        monkeypatch.setitem(dispatch._KERNELS, Strategy.NAIVE, lambda A, B: naive(A, B))
+        assert multiply(A, A, Strategy.NAIVE)[1].observed == 1
+        sizes.append(len(dispatch._AUDITED))
+    assert max(sizes) == dispatch._AUDITED_MAX == 1024
+    assert sizes[-3:] == [1, 2, 3]
+
+
+def test_concurrent_multiplies_report_true_counts(monkeypatch):
+    # a tiny bound makes clears race with reads and first-call writes
+    monkeypatch.setattr(dispatch, "_AUDITED", {})
+    monkeypatch.setattr(dispatch, "_AUDITED_MAX", 3)
+    rng = random.Random(11)
+    shapes = [(2, 3, 3), (3, 4, 2), (2, 5, 4), (1, 2, 1), (3, 3, 5)]
+    cases = [(A, B, naive(A, B)) for A, B in (_random_pair(ZZ, *s, rng) for s in shapes)]
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                for A, B, want in cases:
+                    product, report = multiply(A, B)
+                    if product != want or report.observed != report.predicted:
+                        errors.append(report)
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(dispatch._AUDITED) <= 3
+
+
+# ---------------------------------------------------------------------------
+# properties the audit table relies on
+
+_DIM = st.integers(1, 6)
+_ODD = st.integers(0, 3).map(lambda k: 2 * k + 1)
+_EVEN = st.integers(1, 3).map(lambda k: 2 * k)
+
+#: Shapes drawn inside each concrete strategy's domain.
+SHAPES = {
+    Strategy.NAIVE: st.tuples(_DIM, _DIM, _DIM),
+    Strategy.WINOGRAD_EVEN: st.tuples(_DIM, _EVEN, _DIM),
+    Strategy.WAKSMAN_EVEN: st.tuples(_DIM, _EVEN, _DIM),
+    Strategy.WAKSMAN_ODD: st.tuples(_DIM, _ODD, _DIM),
+    Strategy.CORE3: st.tuples(_DIM, st.just(3), st.just(3)),
+    Strategy.GENERAL_ODD: st.tuples(_DIM, st.integers(1, 3).map(lambda k: 2 * k + 1), st.integers(3, 6)),
+}
+RINGS = [ZZ, ModularRing(2**61 - 1)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["int", "mod_p61"])
+@pytest.mark.parametrize("strategy", CONCRETE, ids=[s.value for s in CONCRETE])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_multiply_audited_then_from_table_matches_naive(strategy, ring, data):
+    l, n, m = data.draw(SHAPES[strategy], label="shape")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    predicted = predict_count(strategy, l, n, m)
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        A, B = _random_pair(ring, l, n, m, rng)
+        product, report = multiply(A, B, strategy)  # audited
+        assert product == naive(A, B)
+        assert report.observed == report.predicted == predicted
+        A, B = _random_pair(ring, l, n, m, rng)
+        with mock.patch.object(CountedRing, "lift", side_effect=AssertionError("lift")):
+            product, report = multiply(A, B, strategy)  # from the table
+        assert product == naive(A, B)
+        assert report.observed == report.predicted == predicted
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["int", "mod_p61"])
+@pytest.mark.parametrize("strategy", CONCRETE, ids=[s.value for s in CONCRETE])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_tally_is_data_oblivious(strategy, ring, data):
+    l, n, m = data.draw(SHAPES[strategy], label="shape")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+
+    def tally(A, B):
+        ctx = CountedRing(ring)
+        kernel_for(strategy)(ctx.lift(A), ctx.lift(B))
+        return ctx.tally.count
+
+    def filled(rows, cols, value):
+        return Matrix(ring, rows, cols, [value] * (rows * cols))
+
+    random_tally = tally(*_random_pair(ring, l, n, m, rng))
+    for value in (ring.zero(), ring.one()):
+        assert tally(filled(l, n, value), filled(n, m, value)) == random_tally
+    assert random_tally == predict_count(strategy, l, n, m)
