@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import random
 import statistics
@@ -31,14 +32,14 @@ import sys
 import time
 
 from . import verify
-from .dispatch import Strategy, choose_strategy, multiply, predict_count
+from .dispatch import Strategy, applicable, kernel_for, multiply, predict_count
 from .errors import (
     CountMismatch,
     ExactHalveUnavailable,
     ShapeError,
     UnsupportedShape,
 )
-from .matrices import matrix_from_ints
+from .matrices import Matrix, matrix_from_ints
 from .rings import IntegerRing, ModularRing
 
 _CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
@@ -51,6 +52,10 @@ _VERIFY_SHAPE_CAP = 16
 
 class _InputError(Exception):
     pass
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_entry(v, where):
@@ -75,6 +80,8 @@ def _load_matrix_file(path):
             text = fh.read()
     except OSError as e:
         raise _InputError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise _InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -85,13 +92,13 @@ def _load_matrix_file(path):
             rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError):
             raise _InputError(f"{path}: need keys rows, cols, data") from None
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
             raise _InputError(f"{path}: rows/cols must be positive integers")
         if not isinstance(data, list) or len(data) != rows * cols:
             raise _InputError(f"{path}: data must hold {rows * cols} entries")
         entries = [_parse_entry(v, path) for v in data]
         modulus = obj.get("modulus")
-        if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
+        if modulus is not None and (not _is_int(modulus) or modulus < 2):
             raise _InputError(f"{path}: modulus must be an integer >= 2")
         return rows, cols, entries, modulus
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -197,8 +204,11 @@ def cmd_mul(args):
 
     payload = _matrix_json(product, modulus)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as e:
+            return _fail(2, f"cannot write {args.out}: {e.strerror or e}")
     else:
         print(payload)
     if args.report:
@@ -235,7 +245,7 @@ def table_rows(lmax, nmax, mmax):
                         "m": m,
                         "paper": ours,
                         "waksman_odd": wak,
-                        "naive": l * n * m,
+                        "naive": predict_count(Strategy.NAIVE, l, n, m),
                         "delta": wak - ours,
                     }
                 )
@@ -269,15 +279,11 @@ def _parse_triple(text, flag):
 
 
 def _supported_shapes(lmax, nmax, mmax):
+    # the counts and random suites run over the integers, which halve exactly
     for strategy in _CONCRETE:
-        for l in range(1, lmax + 1):
-            for n in range(1, nmax + 1):
-                for m in range(1, mmax + 1):
-                    try:
-                        predict_count(strategy, l, n, m)
-                    except UnsupportedShape:
-                        continue
-                    yield strategy, l, n, m
+        for l, n, m in itertools.product(range(1, lmax + 1), range(1, nmax + 1), range(1, mmax + 1)):
+            if applicable(strategy, l, n, m, True):
+                yield strategy, l, n, m
 
 
 def _symbolic_shapes(lmax, nmax, mmax):
@@ -411,16 +417,6 @@ def _bench_ring(spec):
     raise _InputError(f"bad ring spec {spec!r} (use int:BITS or mod:P)")
 
 
-def _needs_halving(strategy, n):
-    if strategy is Strategy.WAKSMAN_EVEN:
-        return True
-    if strategy is Strategy.WAKSMAN_ODD:
-        return n > 1
-    if strategy is Strategy.GENERAL_ODD:
-        return n > 3
-    return False
-
-
 def cmd_bench(args):
     if args.reps < 1:
         return _fail(2, f"--reps must be >= 1, got {args.reps}")
@@ -436,27 +432,15 @@ def cmd_bench(args):
             predict_count(strategy, l, n, m)
         except UnsupportedShape as e:
             return _fail(2, f"shape ({l},{n},{m}) unsupported by {args.strategy}: {e}")
-        if _needs_halving(strategy, n) and not ring.supports_halving:
+        if not applicable(strategy, l, n, m, ring.supports_halving):
             return _fail(3, f"ring {ring.name} lacks exact halving needed by {args.strategy}")
         strategies = [strategy]
     else:
-        strategies = []
-        for s in _CONCRETE:
-            try:
-                predict_count(s, l, n, m)
-            except UnsupportedShape:
-                continue
-            if _needs_halving(s, n) and not ring.supports_halving:
-                continue
-            strategies.append(s)
+        strategies = [s for s in _CONCRETE if applicable(s, l, n, m, ring.supports_halving)]
 
     rng = random.Random(0)
-    from .matrices import Matrix
-
     A = Matrix(ring, l, n, [draw(rng) for _ in range(l * n)])
     B = Matrix(ring, n, m, [draw(rng) for _ in range(n * m)])
-
-    from .dispatch import kernel_for
 
     rows = []
     for s in strategies:

@@ -6,10 +6,8 @@ only entries of the right factor B.  The B-only products depend on
 nothing else, so multiplying an n x 3 matrix by B reuses them across all
 n rows: 6n + 3 multiplications in total, and 21 for the 3x3 case.
 
-Index convention used throughout this package: the classical 1-based
-entry names a_{ij}, b_{ij} map to 0-based storage, so b_{12} is
-B[0, 1].  Formulas below are written in 1-based names and transcribed
-with that shift.
+The schedule lives in `ringmul.general`; the functions here are views
+of it, and mul_n3_33 is general.core3_times_3xm at m = 3.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
+from .general import b_only_products, core3_times_3xm, row_step
 from .matrices import Matrix
 
 
@@ -33,30 +32,15 @@ class SharedBProducts:
     p9: object
 
 
-def shared_b_products(B):
-    """Compute the three B-only products; exactly 3 multiplications."""
+def _check_b(B):
     if B.shape != (3, 3):
         raise ShapeError(f"B must be 3x3, got {B.rows}x{B.cols}")
-    return SharedBProducts(
-        p7=B[0, 1] * B[1, 0],
-        p8=B[0, 2] * B[2, 0],
-        p9=B[1, 2] * B[2, 1],
-    )
 
 
-def _row_schedule(a1, a2, a3, b1, b2, b3, p7, p8, p9):
-    # b1, b2, b3 are the row lists of B; six row-dependent products.
-    p1 = (a2 + b1[1]) * (a1 + b2[0])
-    p2 = (a3 + b1[2]) * (a1 + b3[0])
-    p3 = (a3 + b2[2]) * (a2 + b3[1])
-    p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
-    p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
-    p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
-    return (
-        p4 + p1 + p2 - p7 - p8,
-        p5 + p1 + p3 - p7 - p9,
-        p6 + p2 + p3 - p8 - p9,
-    )
+def shared_b_products(B):
+    """Compute the three B-only products; exactly 3 multiplications."""
+    _check_b(B)
+    return SharedBProducts(*b_only_products(B.row_list(0), B.row_list(1), B.row_list(2)))
 
 
 def row_times_3x3(a, B, shared):
@@ -67,37 +51,24 @@ def row_times_3x3(a, B, shared):
     """
     if a.shape != (1, 3):
         raise ShapeError(f"row must be 1x3, got {a.rows}x{a.cols}")
-    if B.shape != (3, 3):
-        raise ShapeError(f"B must be 3x3, got {B.rows}x{B.cols}")
-    a1, a2, a3 = a.row_list(0)
-    c = _row_schedule(
-        a1, a2, a3, B.row_list(0), B.row_list(1), B.row_list(2),
-        shared.p7, shared.p8, shared.p9,
-    )
-    return Matrix(a.ring, 1, 3, list(c))
+    _check_b(B)
+    b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
+    c = []
+    row_step(*a.row_list(0), b1, b2, b3, (shared.p7, shared.p8, shared.p9), c)
+    return Matrix(a.ring, 1, 3, c)
 
 
 def mul_n3_33(A, B):
     """n x 3 times 3 x 3 in exactly 6n + 3 multiplications."""
     if A.cols != 3:
         raise ShapeError(f"A must have 3 columns, got {A.cols}")
-    if B.shape != (3, 3):
-        raise ShapeError(f"B must be 3x3, got {B.rows}x{B.cols}")
-    shared = shared_b_products(B)
-    b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
-    out = []
-    for i in range(A.rows):
-        a1, a2, a3 = A.row_list(i)
-        out.extend(_row_schedule(a1, a2, a3, b1, b2, b3, shared.p7, shared.p8, shared.p9))
-    return Matrix(A.ring, A.rows, 3, out)
+    _check_b(B)
+    return core3_times_3xm(A, B)
 
 
 def mul_33_33(A, B):
-    """3x3 product in exactly 21 multiplications.
-
-    The n = 3 case of mul_n3_33: three row schedules of 6 products each
-    plus the 3 shared B-only products, computed once.
-    """
+    """3x3 product in exactly 21 multiplications: the n = 3 case of
+    mul_n3_33."""
     if A.shape != (3, 3):
         raise ShapeError(f"A must be 3x3, got {A.rows}x{A.cols}")
     return mul_n3_33(A, B)

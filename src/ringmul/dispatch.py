@@ -3,8 +3,10 @@ multiply that counts each (kernel, shape) once and then runs bare."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from . import baseline, core3, general
 from .errors import ShapeError, UnsupportedShape
@@ -73,6 +75,50 @@ def _exact_half(v):
     return q
 
 
+def _even_n(name):
+    return lambda l, n, m: f"{name} needs even inner dimension, got {n}" if n % 2 else None
+
+
+def _core3_domain(l, n, m):
+    return None if (n, m) == (3, 3) else f"core3 covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
+
+
+def _general_domain(l, n, m):
+    if n % 2 == 0 or n < 3:
+        return f"general needs odd inner dimension >= 3, got {n}"
+    return f"general needs output width >= 3, got {m}" if m < 3 else None
+
+
+class _Row(NamedTuple):
+    domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None
+    count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
+    halves_above: int | None  # the kernel halves when n exceeds this; None: never
+
+
+#: Domain, count formula and halving need of each concrete strategy.
+#: Kernels stay in _KERNELS alone: multiply's audit keys on its entries.
+_TABLE = {
+    Strategy.NAIVE: _Row(lambda l, n, m: None, lambda l, n, m: l * n * m, None),
+    Strategy.WINOGRAD_EVEN: _Row(
+        _even_n("winograd-even"), lambda l, n, m: _exact_half(n * (l * m + l + m)), None
+    ),
+    Strategy.WAKSMAN_EVEN: _Row(
+        _even_n("waksman-even"), lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
+    ),
+    Strategy.WAKSMAN_ODD: _Row(
+        lambda l, n, m: None if n % 2 else f"waksman-odd needs odd inner dimension, got {n}",
+        lambda l, n, m: _exact_half((n - 1) * (l * m + l + m - 1)) + l * m,
+        1,
+    ),
+    Strategy.CORE3: _Row(_core3_domain, lambda l, n, m: 6 * l + 3, None),
+    Strategy.GENERAL_ODD: _Row(
+        _general_domain,
+        lambda l, n, m: _exact_half(n * (l * m + l + m - 1) + (0 if m % 2 else l - 1)),
+        3,
+    ),
+}
+
+
 def predict_count(strategy, l, n, m):
     """Closed-form multiplication count of a strategy on shape (l, n, m).
 
@@ -82,63 +128,38 @@ def predict_count(strategy, l, n, m):
     """
     if l < 1 or n < 1 or m < 1:
         raise UnsupportedShape(f"dimensions must be positive, got ({l}, {n}, {m})")
-    if strategy is Strategy.NAIVE:
-        return l * n * m
-    if strategy is Strategy.WINOGRAD_EVEN:
-        if n % 2:
-            raise UnsupportedShape(f"winograd-even needs even inner dimension, got {n}")
-        return _exact_half(n * (l * m + l + m))
-    if strategy is Strategy.WAKSMAN_EVEN:
-        if n % 2:
-            raise UnsupportedShape(f"waksman-even needs even inner dimension, got {n}")
-        return _exact_half(n * (l * m + l + m - 1))
-    if strategy is Strategy.WAKSMAN_ODD:
-        if n % 2 == 0:
-            raise UnsupportedShape(f"waksman-odd needs odd inner dimension, got {n}")
-        return _exact_half((n - 1) * (l * m + l + m - 1)) + l * m
-    if strategy is Strategy.CORE3:
-        if n != 3 or m != 3:
-            raise UnsupportedShape(f"core3 covers (l, 3, 3) shapes only, got ({l}, {n}, {m})")
-        return 6 * l + 3
-    if strategy is Strategy.GENERAL_ODD:
-        if n % 2 == 0 or n < 3:
-            raise UnsupportedShape(f"general needs odd inner dimension >= 3, got {n}")
-        if m < 3:
-            raise UnsupportedShape(f"general needs output width >= 3, got {m}")
-        if m % 2:
-            return _exact_half(n * (l * m + l + m - 1))
-        return _exact_half(n * (l * m + l + m - 1) + l - 1)
-    raise UnsupportedShape(f"no count formula for {strategy}")
+    if strategy not in _TABLE:
+        raise UnsupportedShape(f"no count formula for {strategy}")
+    reason = _TABLE[strategy].domain(l, n, m)
+    if reason is not None:
+        raise UnsupportedShape(reason)
+    return _TABLE[strategy].count(l, n, m)
 
 
+def applicable(strategy, l, n, m, supports_halving):
+    """Whether strategy covers (l, n, m) over a ring with or without exact halving."""
+    try:
+        predict_count(strategy, l, n, m)
+    except UnsupportedShape:
+        return False
+    above = _TABLE[strategy].halves_above
+    return supports_halving or above is None or n <= above
+
+
+@functools.lru_cache(maxsize=1024)
 def choose_strategy(l, n, m, supports_halving=True):
-    """Deterministic strategy choice: lowest predicted count first among
-    the strategies applicable to the shape and ring capabilities, with
-    ties broken by TIE_ORDER.
-
-    The rules below realize that ordering directly:
-      - odd n >= 3 with m >= 3 -> GENERAL_ODD (needs halving only when n > 3)
-      - even n -> WAKSMAN_EVEN with halving; WINOGRAD_EVEN without, except
-        that for single-row or single-column products winograd's pairing
-        costs n/2 more than the plain product, so NAIVE wins there
-      - n == 1 -> NAIVE
-      - m < 3 with odd n -> WAKSMAN_ODD with halving, NAIVE without
+    """Deterministic strategy choice: the lowest predicted count among the
+    strategies applicable to the shape and ring capabilities, ties broken
+    by TIE_ORDER, except that n == 1 is NAIVE (waksman-odd ties it there).
     """
     if l < 1 or n < 1 or m < 1:
         raise UnsupportedShape(f"dimensions must be positive, got ({l}, {n}, {m})")
-    if n % 2 and n >= 3 and m >= 3 and (n == 3 or supports_halving):
-        return Strategy.GENERAL_ODD
-    if n % 2 == 0:
-        if supports_halving:
-            return Strategy.WAKSMAN_EVEN
-        if (l - 1) * (m - 1) > 0:
-            return Strategy.WINOGRAD_EVEN
-        return Strategy.NAIVE
     if n == 1:
         return Strategy.NAIVE
-    if m < 3 and supports_halving:
-        return Strategy.WAKSMAN_ODD
-    return Strategy.NAIVE
+    return min(
+        (s for s in TIE_ORDER if applicable(s, l, n, m, supports_halving)),
+        key=lambda s: predict_count(s, l, n, m),
+    )
 
 
 #: Audited multiplication tallies keyed by (kernel-table entry, l, n, m).

@@ -13,12 +13,19 @@ Multiplication counts:
     mul_odd_n         n(lm + l + m - 1)/2           (m odd)
                       (n(lm + l + m - 1) + l - 1)/2 (m even)
 
-The core block extends the 6-per-row schedule of `ringmul.core3` to the
-columns beyond the third, two at a time: each column pair (j, j+1)
-reuses the three row-level products shared with columns 1..3 and adds
-exactly 3 new row-level products per row plus 3 products involving only
-entries of B.  The B-only correction products are cached per pair, not
-per row; that caching is what the count formulas price in.
+The core block runs the 3-column schedule, 3 products of entries of B
+alone (b_only_products) plus 6 per row (row_step), which is all of the
+6l + 3 product l x 3 times 3 x 3 (`ringmul.core3` is that m = 3 view).
+It extends to the columns beyond the third two at a time: each column
+pair (j, j+1) reuses the three row-level products shared with columns
+1..3 and adds exactly 3 new row-level products per row plus 3 products
+involving only entries of B.  The B-only correction products are cached
+per pair, not per row; that caching is what the count formulas price in.
+
+Index convention used throughout this package: the classical 1-based
+entry names a_{ij}, b_{ij} map to 0-based storage, so b_{12} is
+B[0, 1].  Formulas are written in 1-based names and transcribed with
+that shift.
 """
 
 from __future__ import annotations
@@ -50,6 +57,32 @@ class ColumnPairSchedule:
         return cls(start, tuple((j, j + 1) for j in range(start, m, 2)))
 
 
+def b_only_products(b1, b2, b3):
+    """The three products of entries of B alone, b12*b21, b13*b31 and
+    b23*b32, shared by every row; b1, b2, b3 are the rows of B."""
+    return b1[1] * b2[0], b1[2] * b3[0], b2[2] * b3[1]
+
+
+def row_step(a1, a2, a3, b1, b2, b3, q, out):
+    """Row (a1, a2, a3) times the first three columns of B in exactly 6
+    multiplications, given q = b_only_products(b1, b2, b3).
+
+    Appends the row's first three output entries to the list out and
+    returns the three row-level products that wider columns reuse.
+    """
+    q12, q13, q23 = q
+    rp1 = (a1 + b2[0]) * (a2 + b1[1])  # (a_i1+b21)(a_i2+b12)
+    rp2 = (a1 + b3[0]) * (a3 + b1[2])  # (a_i1+b31)(a_i3+b13)
+    rp3 = (a2 + b3[1]) * (a3 + b2[2])  # (a_i2+b32)(a_i3+b23)
+    p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
+    p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
+    p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
+    out.append(rp1 + rp2 + p4 - q12 - q13)
+    out.append(rp1 + rp3 + p5 - q12 - q23)
+    out.append(rp2 + rp3 + p6 - q13 - q23)
+    return rp1, rp2, rp3
+
+
 def core3_times_3xm(A1, B1):
     """l x 3 times 3 x m (m >= 3) with row-shared and B-only products.
 
@@ -69,9 +102,8 @@ def core3_times_3xm(A1, B1):
     b1, b2, b3 = B1.row_list(0), B1.row_list(1), B1.row_list(2)
 
     # B-only products, computed once and reused by every row.
-    q12 = b1[1] * b2[0]  # b12*b21
-    q13 = b1[2] * b3[0]  # b13*b31
-    q23 = b2[2] * b3[1]  # b23*b32
+    q = b_only_products(b1, b2, b3)
+    q12, q13, q23 = q
 
     m_even = m % 2 == 0
     if m_even:
@@ -89,30 +121,20 @@ def core3_times_3xm(A1, B1):
     out = []
     for i in range(l):
         a1, a2, a3 = A1.row_list(i)
-        # Row-level products shared across every output column of row i.
-        rp1 = (a1 + b2[0]) * (a2 + b1[1])  # (a_i1+b21)(a_i2+b12)
-        rp2 = (a1 + b3[0]) * (a3 + b1[2])  # (a_i1+b31)(a_i3+b13)
-        rp3 = (a2 + b3[1]) * (a3 + b2[2])  # (a_i2+b32)(a_i3+b23)
-        p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
-        p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
-        p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
-
-        row = [None] * m
-        row[0] = rp1 + rp2 + p4 - q12 - q13
-        row[1] = rp1 + rp3 + p5 - q12 - q23
-        row[2] = rp2 + rp3 + p6 - q13 - q23
+        # Row-level products shared across every output column of row i;
+        # the row's entries are appended to out column by column.
+        rp1, rp2, rp3 = row_step(a1, a2, a3, b1, b2, b3, q, out)
         if m_even:
             w = (a1 + b2[0] - b2[3]) * (-a2 - b1[1] + b1[3])
-            row[3] = rp1 + w + a3 * b3[3] - q12 - v4
+            out.append(rp1 + w + a3 * b3[3] - q12 - v4)
 
         for (j, j1), (v1, v2, v3) in zip(sched.pairs, pair_b):
             J, J1 = j - 1, j1 - 1
             u1 = (a1 + b2[0] - b2[J]) * (-a2 - b1[1] + b1[J] - b1[J1])
             u2 = (a1 + b3[0] - b3[J]) * (-a3 - b1[2] + b1[J1])
             u3 = (a2 + b3[1] + b3[J] - b3[J1]) * (-a3 - b2[2] + b2[J1])
-            row[J] = rp1 + rp2 + u1 + u2 - q12 - q13 - v1 - v2
-            row[J1] = rp2 + rp3 + u2 + u3 - q13 - q23 - v2 - v3
-        out.extend(row)
+            out.append(rp1 + rp2 + u1 + u2 - q12 - q13 - v1 - v2)
+            out.append(rp2 + rp3 + u2 + u3 - q13 - q23 - v2 - v3)
 
     return Matrix(A1.ring, l, m, out)
 

@@ -77,6 +77,43 @@ def test_mul_float_entry_rejected(tmp_path, capsys):
     assert "exact" in stderr
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"rows": True, "cols": True},
+        {"rows": True, "cols": 1},
+        {"rows": 1, "cols": True},
+        {"rows": 1, "cols": 1, "modulus": True},
+    ],
+)
+def test_mul_boolean_header_rejected(tmp_path, capsys, header):
+    # JSON true is not the integer 1, in the header as in the data
+    a = _write(tmp_path / "a.json", {**header, "data": [2]})
+    code, stdout, stderr = _run(capsys, ["mul", "--a", a, "--b", a])
+    assert code == 2
+    assert stdout == ""
+    assert a in stderr
+
+
+def test_mul_non_utf8_file_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_bytes(b"1 1\n\xff\n")
+    code, stdout, stderr = _run(capsys, ["mul", "--a", str(a), "--b", str(a)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: " + str(a)) and stderr.count("\n") == 1
+
+
+def test_mul_unwritable_out_exit_2(tmp_path, capsys):
+    a = _write(tmp_path / "a.json", I3)
+    out = tmp_path / "missing" / "c.json"
+    code, stdout, stderr = _run(capsys, ["mul", "--a", a, "--b", a, "--out", str(out), "--report"])
+    assert code == 2
+    assert stdout == ""
+    assert str(out) in stderr and stderr.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_mul_strategy_shape_conflict_exit_3(tmp_path, capsys):
     a = _write(tmp_path / "a.txt", "2 4\n1 2 3 4\n5 6 7 8\n")
     b = _write(tmp_path / "b.txt", "4 3\n1 2 3\n4 5 6\n7 8 9\n1 1 1\n")

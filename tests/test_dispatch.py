@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import ringmul.dispatch as dispatch
 from ringmul import (
     CountedRing,
+    ExactHalveUnavailable,
     Matrix,
     ModularRing,
     PolynomialRing,
@@ -25,7 +27,7 @@ from ringmul import (
     predict_count,
     random_matrix,
 )
-from ringmul.dispatch import TIE_ORDER
+from ringmul.dispatch import TIE_ORDER, applicable
 
 CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
 
@@ -137,6 +139,34 @@ def test_choose_strategy_is_never_beaten():
                         # among equally cheap strategies the fixed order wins
                         cheapest = [s for s in TIE_ORDER if applicable.get(s) == best]
                         assert chosen is cheapest[0]
+
+
+def _raised(kernel, A, B):
+    try:
+        kernel(A, B)
+    except (UnsupportedShape, ShapeError, ExactHalveUnavailable) as e:
+        return type(e)
+    return None
+
+
+def test_table_matches_the_kernels():
+    # the dispatch table's domain and halving columns, checked against
+    # what each kernel itself rejects and halves on every small shape
+    rng = random.Random(11)
+    mod4 = ModularRing(4)  # no exact halving
+    mismatches = []
+    for s in CONCRETE:
+        kernel = kernel_for(s)
+        for l, n, m in itertools.product(range(1, 7), repeat=3):
+            covers = applicable(s, l, n, m, True)
+            needs_halving = covers and not applicable(s, l, n, m, False)
+            over_zz = _raised(kernel, random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng))
+            if (over_zz is None) != covers:
+                mismatches.append(("domain", s, l, n, m, over_zz))
+            over_mod4 = _raised(kernel, random_matrix(mod4, l, n, rng), random_matrix(mod4, n, m, rng))
+            if (over_mod4 is ExactHalveUnavailable) != needs_halving:
+                mismatches.append(("halving", s, l, n, m, over_mod4))
+    assert mismatches == []
 
 
 def test_multiply_auto_3x3_identities():
