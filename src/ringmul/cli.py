@@ -14,6 +14,12 @@ beyond 53-bit magnitude); modular matrices carry an extra "modulus"
 field.  A plain-text alternative is accepted on input: first line
 "R C", then R whitespace-separated rows.
 
+The verify suites walk one grid: every (strategy, l, n, m) within
+--max-shape that the strategy table in ringmul.dispatch marks
+applicable.  The symbolic suite clips that grid to 4,7,7, since its
+polynomial expansion costs the most; at the default 3,7,6 each suite
+runs 345 checks.
+
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error.  No environment variables are consulted; the
 default seed is 0.  Integer entries of any size round-trip exactly:
@@ -48,6 +54,10 @@ _JSON_SAFE = 1 << 53
 #: grows about with the square of L*N*M; 16,16,16 takes about 80 s on a
 #: shared 2-core VM.
 _VERIFY_SHAPE_CAP = 16
+#: The symbolic suite walks the same grid clipped to these L, N, M bounds:
+#: its polynomial expansion grows fastest of the three suites (the full
+#: grid at 10,10,10 takes about 30 s, the clipped one about 0.7 s).
+_SYMBOLIC_CAP = (4, 7, 7)
 
 
 class _InputError(Exception):
@@ -88,6 +98,8 @@ def _load_matrix_file(path):
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise _InputError(f"{path}: invalid JSON ({e})") from None
+        except RecursionError:
+            raise _InputError(f"{path}: JSON nested too deeply") from None
         try:
             rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError):
@@ -227,28 +239,32 @@ def cmd_mul(args):
     return 0
 
 
+def _grid(lmax, nmax, mmax):
+    return itertools.product(range(1, lmax + 1), range(1, nmax + 1), range(1, mmax + 1))
+
+
 _TABLE_COLUMNS = ("l", "n", "m", "paper", "waksman_odd", "naive", "delta")
 
 
 def table_rows(lmax, nmax, mmax):
-    """Predicted-count comparison rows for every (l, odd n >= 3, m >= 3)."""
+    """Predicted-count comparison rows for every shape that general covers."""
     rows = []
-    for l in range(1, lmax + 1):
-        for n in range(3, nmax + 1, 2):
-            for m in range(3, mmax + 1):
-                ours = predict_count(Strategy.GENERAL_ODD, l, n, m)
-                wak = predict_count(Strategy.WAKSMAN_ODD, l, n, m)
-                rows.append(
-                    {
-                        "l": l,
-                        "n": n,
-                        "m": m,
-                        "paper": ours,
-                        "waksman_odd": wak,
-                        "naive": predict_count(Strategy.NAIVE, l, n, m),
-                        "delta": wak - ours,
-                    }
-                )
+    for l, n, m in _grid(lmax, nmax, mmax):
+        if not applicable(Strategy.GENERAL_ODD, l, n, m, True):
+            continue
+        ours = predict_count(Strategy.GENERAL_ODD, l, n, m)
+        wak = predict_count(Strategy.WAKSMAN_ODD, l, n, m)
+        rows.append(
+            {
+                "l": l,
+                "n": n,
+                "m": m,
+                "paper": ours,
+                "waksman_odd": wak,
+                "naive": predict_count(Strategy.NAIVE, l, n, m),
+                "delta": wak - ours,
+            }
+        )
     return rows
 
 
@@ -279,93 +295,57 @@ def _parse_triple(text, flag):
 
 
 def _supported_shapes(lmax, nmax, mmax):
-    # the counts and random suites run over the integers, which halve exactly
+    # every suite runs over the integers or integer polynomials, which halve exactly
     for strategy in _CONCRETE:
-        for l, n, m in itertools.product(range(1, lmax + 1), range(1, nmax + 1), range(1, mmax + 1)):
+        for l, n, m in _grid(lmax, nmax, mmax):
             if applicable(strategy, l, n, m, True):
                 yield strategy, l, n, m
 
 
-def _symbolic_shapes(lmax, nmax, mmax):
-    for l in range(1, min(lmax, 4) + 1):
-        yield Strategy.CORE3, l, 3, 3
-    for l in range(1, min(lmax, 3) + 1):
-        for n in range(3, min(nmax, 7) + 1, 2):
-            for m in range(3, min(mmax, 7) + 1):
-                yield Strategy.GENERAL_ODD, l, n, m
-    small = range(1, min(lmax, 3, mmax) + 1)
-    for n in range(2, min(nmax, 6) + 1, 2):
-        for l in small:
-            for m in small:
-                yield Strategy.WAKSMAN_EVEN, l, n, m
-                yield Strategy.WINOGRAD_EVEN, l, n, m
-    for n in (3, 5):
-        if n > nmax:
-            continue
-        for l in small:
-            for m in small:
-                yield Strategy.WAKSMAN_ODD, l, n, m
+def _verify_counts(strategy, l, n, m, seed):
+    try:
+        verify.count_audit(strategy, l, n, m, seed=seed)
+    except CountMismatch as e:
+        return {"predicted": e.predicted, "observed": e.observed}
+    return None
 
 
-def _verify_counts(lmax, nmax, mmax, seed):
+def _verify_random(strategy, l, n, m, seed):
+    report = verify.randomized_check(strategy, l, n, m, trials=8, seed=seed)
+    if report.ok:
+        return None
+    return {
+        "witness": {
+            "a": report.mismatch.a_rows,
+            "b": report.mismatch.b_rows,
+            "got": report.mismatch.got_rows,
+            "want": report.mismatch.want_rows,
+        }
+    }
+
+
+def _verify_symbolic(strategy, l, n, m, seed):
+    report = verify.symbolic_verify(strategy, l, n, m)
+    if report.ok:
+        return None
+    return {
+        "witness": {
+            "entry": list(report.entry),
+            "monomial": report.monomial,
+            "coefficient": report.coefficient,
+        }
+    }
+
+
+def _run_suite(check, bounds, seed):
+    """Run check on every (strategy, shape) within bounds; (checks, failures)."""
     checks = 0
     failures = []
-    for strategy, l, n, m in _supported_shapes(lmax, nmax, mmax):
+    for strategy, l, n, m in _supported_shapes(*bounds):
         checks += 1
-        try:
-            verify.count_audit(strategy, l, n, m, seed=seed)
-        except CountMismatch as e:
-            failures.append(
-                {
-                    "strategy": strategy.value,
-                    "shape": [l, n, m],
-                    "predicted": e.predicted,
-                    "observed": e.observed,
-                }
-            )
-    return checks, failures
-
-
-def _verify_random(lmax, nmax, mmax, seed):
-    checks = 0
-    failures = []
-    for strategy, l, n, m in _supported_shapes(lmax, nmax, mmax):
-        checks += 1
-        report = verify.randomized_check(strategy, l, n, m, trials=8, seed=seed)
-        if not report.ok:
-            failures.append(
-                {
-                    "strategy": strategy.value,
-                    "shape": [l, n, m],
-                    "witness": {
-                        "a": report.mismatch.a_rows,
-                        "b": report.mismatch.b_rows,
-                        "got": report.mismatch.got_rows,
-                        "want": report.mismatch.want_rows,
-                    },
-                }
-            )
-    return checks, failures
-
-
-def _verify_symbolic(lmax, nmax, mmax, seed):
-    checks = 0
-    failures = []
-    for strategy, l, n, m in _symbolic_shapes(lmax, nmax, mmax):
-        checks += 1
-        report = verify.symbolic_verify(strategy, l, n, m)
-        if not report.ok:
-            failures.append(
-                {
-                    "strategy": strategy.value,
-                    "shape": [l, n, m],
-                    "witness": {
-                        "entry": list(report.entry),
-                        "monomial": report.monomial,
-                        "coefficient": report.coefficient,
-                    },
-                }
-            )
+        failure = check(strategy, l, n, m, seed)
+        if failure is not None:
+            failures.append({"strategy": strategy.value, "shape": [l, n, m], **failure})
     return checks, failures
 
 
@@ -376,12 +356,13 @@ def cmd_verify(args):
         return _fail(2, str(e))
     if max(lmax, nmax, mmax) > _VERIFY_SHAPE_CAP:
         return _fail(2, f"--max-shape values must be <= {_VERIFY_SHAPE_CAP}, got {args.max_shape!r}")
-    runners = {
-        "counts": _verify_counts,
-        "random": _verify_random,
-        "symbolic": _verify_symbolic,
+    bounds = (lmax, nmax, mmax)
+    suites = {
+        "counts": (_verify_counts, bounds),
+        "random": (_verify_random, bounds),
+        "symbolic": (_verify_symbolic, tuple(map(min, bounds, _SYMBOLIC_CAP))),
     }
-    wanted = list(runners) if args.suite == "all" else [args.suite]
+    wanted = list(suites) if args.suite == "all" else [args.suite]
     summary = {
         "seed": args.seed,
         "max_shape": [lmax, nmax, mmax],
@@ -389,7 +370,7 @@ def cmd_verify(args):
         "ok": True,
     }
     for name in wanted:
-        checks, failures = runners[name](lmax, nmax, mmax, args.seed)
+        checks, failures = _run_suite(*suites[name], args.seed)
         summary["suites"][name] = {
             "checks": checks,
             "failures": failures,

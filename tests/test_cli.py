@@ -4,8 +4,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ringmul import cli
+from ringmul import IntegerRing, Matrix, ModularRing, Strategy, cli, dispatch, matrix_from_ints, multiply
 
 I3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
 
@@ -102,6 +104,15 @@ def test_mul_non_utf8_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: " + str(a)) and stderr.count("\n") == 1
+
+
+def test_mul_deeply_nested_json_exit_2(tmp_path, capsys):
+    depth = 200_000
+    a = _write(tmp_path / "a.json", '{"rows": ' + "[" * depth + "]" * depth + "}")
+    code, stdout, stderr = _run(capsys, ["mul", "--a", a, "--b", a])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: " + a) and stderr.count("\n") == 1
 
 
 def test_mul_unwritable_out_exit_2(tmp_path, capsys):
@@ -236,6 +247,51 @@ def test_mul_matches_naive_oracle_on_random_fixtures(tmp_path, capsys):
         assert json.loads(stdout)["data"] == want.data
 
 
+def _text_file(rows):
+    return f"{len(rows)} {len(rows[0])}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+@st.composite
+def _mul_cases(draw):
+    l, n, m = (draw(st.integers(1, 6)) for _ in range(3))
+    modulus = draw(st.one_of(st.none(), st.integers(2, 2**70)))
+    ring = IntegerRing() if modulus is None else ModularRing(modulus)
+    entries = st.integers(-(2**70), 2**70)
+    a = [[draw(entries) for _ in range(n)] for _ in range(l)]
+    b = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    halving = ring.supports_halving
+    names = [s.value for s in Strategy if s is Strategy.AUTO or dispatch.applicable(s, l, n, m, halving)]
+    strategy = draw(st.sampled_from(names))
+    formats = (draw(st.sampled_from(["json", "text"])), draw(st.sampled_from(["json", "text"])))
+    return ring, modulus, a, b, strategy, formats
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mul_cases())
+def test_mul_matches_multiply_and_is_deterministic(tmp_path, capsys, case):
+    ring, modulus, a_rows, b_rows, strategy, formats = case
+    files = []
+    for name, rows, fmt in (("a", a_rows, formats[0]), ("b", b_rows, formats[1])):
+        if fmt == "json":
+            obj = {"rows": len(rows), "cols": len(rows[0]), "data": [v for r in rows for v in r]}
+            files.append(_write(tmp_path / f"{name}.json", obj))
+        else:
+            files.append(_write(tmp_path / f"{name}.txt", _text_file(rows)))
+    argv = ["mul", "--a", files[0], "--b", files[1], "--strategy", strategy, "--report"]
+    argv += ["--ring", "int" if modulus is None else f"mod:{modulus}"]
+    runs = []
+    for out in (tmp_path / "c1.json", tmp_path / "c2.json"):
+        code, stdout, stderr = _run(capsys, argv + ["--out", str(out)])
+        assert code == 0, stderr
+        runs.append((out.read_bytes(), stdout))
+    assert runs[0] == runs[1]
+    product, _ = multiply(matrix_from_ints(ring, a_rows), matrix_from_ints(ring, b_rows), Strategy(strategy))
+    want = product.data if modulus is None else [v.value for v in product.data]
+    got = json.loads(runs[0][0])
+    assert got.get("modulus") == modulus
+    assert [int(v) for v in got["data"]] == want
+
+
 def test_verify_exits_1_with_witness_on_broken_kernel(capsys, monkeypatch):
     # simulate a mutated build: naive suddenly performs an extra multiply
     import ringmul.dispatch as dispatch
@@ -311,6 +367,54 @@ def test_verify_random_suite(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "random", "--seed", "3", "--max-shape", "2,4,3"])
     assert code == 0
     assert json.loads(stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("strategy", list(dispatch._TABLE), ids=lambda s: s.value)
+def test_verify_symbolic_proves_every_table_row(capsys, monkeypatch, strategy):
+    original = dispatch._KERNELS[strategy]
+
+    def mutant(A, B):
+        C = original(A, B)
+        return Matrix(C.ring, C.rows, C.cols, [C.data[0] + A.data[0] * B.data[0]] + C.data[1:])
+
+    monkeypatch.setitem(dispatch._KERNELS, strategy, mutant)
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "1,3,3"])
+    assert code == 1
+    failing = json.loads(stdout)["suites"]["symbolic"]["failures"]
+    assert failing and {f["strategy"] for f in failing} == {strategy.value}
+    assert failing[0]["witness"] == {"entry": [0, 0], "monomial": "a11*b11", "coefficient": 1}
+
+
+@pytest.mark.parametrize("bounds", ["3,7,6", "4,7,7"])
+def test_verify_symbolic_walks_the_counts_grid_under_the_cap(capsys, bounds):
+    checks = {}
+    for suite in ("counts", "symbolic"):
+        code, stdout, _ = _run(capsys, ["verify", "--suite", suite, "--max-shape", bounds])
+        assert code == 0
+        checks[suite] = json.loads(stdout)["suites"][suite]["checks"]
+    assert checks["symbolic"] == checks["counts"]
+
+
+def test_verify_symbolic_grid_is_clipped_above_the_cap(capsys):
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "16,16,16"])
+    assert code == 0
+    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 540
+
+
+def test_verify_symbolic_covers_each_bound_independently(capsys, monkeypatch):
+    proved = []
+    real = cli.verify.symbolic_verify
+
+    def recording(strategy, l, n, m):
+        proved.append((strategy, l, n, m))
+        return real(strategy, l, n, m)
+
+    monkeypatch.setattr(cli.verify, "symbolic_verify", recording)
+    code, _, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "1,6,3"])
+    assert code == 0
+    assert all(l <= 1 and n <= 6 and m <= 3 for _, l, n, m in proved)
+    waksman_even = {(n, m) for s, _, n, m in proved if s is Strategy.WAKSMAN_EVEN}
+    assert waksman_even == {(n, m) for n in (2, 4, 6) for m in (1, 2, 3)}
 
 
 def test_verify_bad_max_shape_exit_2(capsys):
