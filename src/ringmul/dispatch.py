@@ -177,9 +177,12 @@ def multiply(A, B, strategy=Strategy.AUTO):
     over the element operators, so its multiplication count depends on
     the shape alone.  The first product of a given kernel and shape runs
     over an instrumented view of the input ring and records its tally;
-    later products of that kernel and shape run on the caller's elements
-    unwrapped and report the recorded tally as observed.  A kernel
-    replaced in the kernel table is a new key and is counted afresh.
+    later products of that kernel and shape run bare and report the
+    recorded tally as observed.  A kernel replaced in the kernel table is
+    a new key and is counted afresh.  Both runs go through the ring's
+    `run` hook: over a ModularRing the kernel runs on the entries'
+    integer values and each output entry is reduced once, so no residue
+    operator runs; the count is the same, since the program is.
     """
     if A.cols != B.rows:
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
@@ -193,10 +196,16 @@ def multiply(A, B, strategy=Strategy.AUTO):
     key = (_KERNELS[strategy], l, n, m)
     observed = _AUDITED.get(key)
     if observed is not None:
-        product = kernel(A, B)
+        product = A.ring.run(kernel, A, B)
     else:
-        ctx = CountedRing(A.ring)
-        product = ctx.unwrap(kernel(ctx.lift(A), ctx.lift(B)))
+        ctx = None
+
+        def counted(A, B):
+            nonlocal ctx
+            ctx = CountedRing(A.ring)
+            return ctx.unwrap(kernel(ctx.lift(A), ctx.lift(B)))
+
+        product = A.ring.run(counted, A, B)
         observed = ctx.tally.count
         if len(_AUDITED) >= _AUDITED_MAX:
             _AUDITED.clear()

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ExactHalveUnavailable, NotEvenlyDivisible
+from .matrices import Matrix
 
 _new = object.__new__
 
@@ -61,6 +62,15 @@ class Ring:
     def random_element(self, rng):
         raise NotImplementedError
 
+    def run(self, program, A, B):
+        """program(A, B) for matrices A and B over this ring.
+
+        `dispatch.multiply` runs every kernel through this hook, so that
+        a ring whose elements have a cheaper exact stand-in can run the
+        kernel on the stand-in instead (see ModularRing.run).
+        """
+        return program(A, B)
+
     def __repr__(self):
         return self.name
 
@@ -104,6 +114,10 @@ class Mod:
     conditional add or subtract of m suffices; a product reduces with
     the mask ``& (m - 1)`` when m is a power of two and with ``%``
     otherwise; halving at an odd modulus is a shift.
+
+    `dispatch.multiply` does not use these operators: it runs its
+    kernels on the integer values and reduces once per output entry
+    (ModularRing.run).  They serve every other caller of the elements.
     """
 
     __slots__ = ("value", "modulus", "_pow2")
@@ -179,6 +193,17 @@ class Mod:
         return f"Mod({self.value}, {self.modulus})"
 
 
+class _Representatives(IntegerRing):
+    """The integer values of a residue ring's elements, under that ring's
+    name and halving capability, so that a kernel run on them accepts and
+    refuses exactly what it does on the residues."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self.name = ring.name
+        self.supports_halving = ring.supports_halving
+
+
 class ModularRing(Ring):
     """Integers modulo a fixed modulus >= 2."""
 
@@ -187,10 +212,47 @@ class ModularRing(Ring):
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.name = f"mod{modulus}"
+        self._integers = _Representatives(self)
 
     @property
     def supports_halving(self):
         return self.modulus % 2 == 1
+
+    def run(self, program, A, B):
+        """program(A, B) run on the integer values of the entries, reduced
+        once per output entry.
+
+        The kernels are straight-line programs of ``+``, ``-``, unary
+        minus, ``*`` and exact halving, and reduction mod m commutes with
+        each of them: a kernel halves only integers of the form y + y,
+        and only where m is odd, since the integers carry this ring's
+        halving capability.  So the reduced integer result is the residue
+        result, for the price of one reduction per output entry instead
+        of one per operation.  Each input entry must be a Mod of this
+        modulus: TypeError for anything else, ValueError for another
+        modulus.
+        """
+        C = program(self._lower(A), self._lower(B))
+        m = self.modulus
+        mask = m - 1
+        like = Mod(0, m)._like
+        if m & mask:
+            out = [like(v % m) for v in C.data]
+        else:
+            out = [like(v & mask) for v in C.data]
+        return Matrix(self, C.rows, C.cols, out)
+
+    def _lower(self, matrix):
+        """The matrix of the entries' integer values, over self._integers."""
+        m = self.modulus
+        data = matrix.data
+        values = [e.value for e in data if isinstance(e, Mod) and e.modulus == m]
+        if len(values) < len(data):
+            bad = next(e for e in data if not (isinstance(e, Mod) and e.modulus == m))
+            if not isinstance(bad, Mod):
+                raise TypeError(f"{type(bad).__name__} entry in a matrix over {self.name}")
+            raise ValueError(f"mixed moduli {m} and {bad.modulus}")
+        return Matrix(self._integers, matrix.rows, matrix.cols, values)
 
     def zero(self):
         return Mod(0, self.modulus)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ringmul import IntegerRing, Matrix, ModularRing, Strategy, cli, dispatch, matrix_from_ints, multiply
+from ringmul import IntegerRing, Matrix, Mod, ModularRing, Strategy, cli, dispatch, matrix_from_ints, multiply
 
 I3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
 
@@ -456,6 +456,20 @@ def test_bench_modular_even_inner(capsys):
     assert code == 0
     names = {row["strategy"] for row in json.loads(stdout)}
     assert {"waksman-even", "winograd-even"} <= names
+
+
+def test_bench_modular_times_the_multiply_path(capsys, monkeypatch):
+    # bench runs each kernel through the ring's hook, as multiply does,
+    # so over residues it runs no residue operator
+    def refuse(*args):
+        raise AssertionError("residue operator on the bench path")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "halve"):
+        monkeypatch.setattr(Mod, op, refuse)
+    argv = ["bench", "--shape", "3,5,4", "--ring", "mod:101", "--reps", "2", "--format", "json"]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    assert {row["strategy"] for row in json.loads(stdout)} == {"general", "waksman-odd", "naive"}
 
 
 def test_bench_unsupported_explicit_strategy_exit_2(capsys):

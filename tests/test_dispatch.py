@@ -13,6 +13,7 @@ from ringmul import (
     CountedRing,
     ExactHalveUnavailable,
     Matrix,
+    Mod,
     ModularRing,
     PolynomialRing,
     ShapeError,
@@ -408,3 +409,129 @@ def test_tally_is_data_oblivious(strategy, ring, data):
     for value in (ring.zero(), ring.one()):
         assert tally(filled(l, n, value), filled(n, m, value)) == random_tally
     assert random_tally == predict_count(strategy, l, n, m)
+
+
+# ---------------------------------------------------------------------------
+# residue rings: kernels run on the integer values, one reduction per entry
+
+
+def _textbook_mod(A, B, modulus):
+    """Product of the entries' integer values, reduced: a reference that
+    uses no residue operator."""
+    a, b = A.to_rows(), B.to_rows()
+    return [
+        sum(a[i][k].value * b[k][j].value for k in range(A.cols)) % modulus
+        for i in range(A.rows)
+        for j in range(B.cols)
+    ]
+
+
+@pytest.mark.parametrize("strategy,shape", [(Strategy.WAKSMAN_EVEN, (2, 4, 3)), (Strategy.GENERAL_ODD, (2, 5, 3))])
+@pytest.mark.parametrize("first", [7, 8], ids=["warmed-at-mod7", "cold"])
+def test_even_modulus_refuses_halving_on_every_call(strategy, shape, first):
+    # the audit table keys on (kernel, shape), not on the ring, so a key
+    # warmed at an odd modulus must still refuse an even one
+    rng = random.Random(21)
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        if first == 7:
+            multiply(*_random_pair(ModularRing(7), *shape, rng), strategy)
+        A, B = _random_pair(ModularRing(8), *shape, rng)
+        for _ in range(3):
+            with pytest.raises(ExactHalveUnavailable, match=r"mod8\)? lacks exact halving"):
+                multiply(A, B, strategy)
+
+
+def _with_entry(matrix, index, entry):
+    data = list(matrix.data)
+    data[index] = entry
+    return Matrix(matrix.ring, matrix.rows, matrix.cols, data)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 3, 3), (2, 4, 3), (3, 5, 2), (4, 5, 4)])
+@pytest.mark.parametrize(
+    "entry,error,match",
+    [(Mod(3, 5), ValueError, "mixed moduli"), (3, TypeError, None)],
+    ids=["foreign-modulus", "bare-int"],
+)
+def test_foreign_entry_raises_on_every_call(shape, entry, error, match):
+    rng = random.Random(22)
+    ring = ModularRing(7)
+    l, n, m = shape
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        for side in range(6):  # cold first, then warm; the entry in A, then in B
+            A, B = _random_pair(ring, l, n, m, rng)
+            if side % 2:
+                B = _with_entry(B, rng.randrange(n * m), entry)
+            else:
+                A = _with_entry(A, rng.randrange(l * n), entry)
+            with pytest.raises(error, match=match):
+                multiply(A, B)
+
+
+def test_matrix_of_foreign_entries_is_refused():
+    # no operator meets a mismatch when every entry is foreign alike, so
+    # only the entry check at the ring's boundary can refuse these
+    ring = ModularRing(7)
+    with pytest.raises(TypeError):
+        multiply(*[Matrix(ring, 2, 2, [1, 2, 3, 4])] * 2)
+    with pytest.raises(ValueError, match="mixed moduli 7 and 5"):
+        multiply(*[Matrix(ring, 2, 2, [Mod(v, 5) for v in (1, 2, 3, 4)])] * 2)
+
+
+def test_residue_multiply_runs_no_residue_operator(monkeypatch):
+    rng = random.Random(23)
+    shapes = [(3, 3, 3), (3, 4, 3), (2, 5, 2), (4, 5, 4), (16, 15, 16)]
+    cases = []
+    for modulus in (2**61 - 1, 2**64):
+        for shape in shapes:
+            A, B = _random_pair(ModularRing(modulus), *shape, rng)
+            cases.append((A, B, _textbook_mod(A, B, modulus)))
+
+    def refuse(*args):
+        raise AssertionError("residue operator on the multiply path")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "halve"):
+        monkeypatch.setattr(Mod, op, refuse)
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        for _ in range(2):  # audited, then warm
+            for A, B, want in cases:
+                product, report = multiply(A, B)
+                assert [e.value for e in product.data] == want
+                assert report.observed == report.predicted
+
+
+ODD4096 = random.Random(4096).getrandbits(4096) | (1 << 4095) | 1
+MODULI = [2, 3, 4, 7, 2**61 - 1, 2**64, ODD4096, 2**4096]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    modulus=st.sampled_from(MODULI),
+    shape=st.tuples(_DIM, _DIM, _DIM),
+    seed=st.integers(0, 2**32),
+)
+def test_residue_products_are_canonical_and_counted(modulus, shape, seed):
+    l, n, m = shape
+    ring = ModularRing(modulus)
+    rng = random.Random(seed)
+    edges = (0, 1, modulus - 1)
+
+    def entry():
+        # range ends make the largest integer intermediates
+        return Mod(rng.choice(edges) if rng.random() < 0.5 else rng.randrange(modulus), modulus)
+
+    strategies = [s for s in CONCRETE if applicable(s, l, n, m, ring.supports_halving)]
+    for strategy in strategies:
+        predicted = predict_count(strategy, l, n, m)
+        with mock.patch.dict(dispatch._AUDITED, clear=True):
+            for _ in range(2):  # audited, then warm
+                A = Matrix(ring, l, n, [entry() for _ in range(l * n)])
+                B = Matrix(ring, n, m, [entry() for _ in range(n * m)])
+                product, report = multiply(A, B, strategy)
+                assert (product.rows, product.cols, product.ring) == (l, m, ring)
+                assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)
+                for e in product.data:
+                    assert 0 <= e.value < modulus
+                    assert e == Mod(e.value, modulus)
+                    assert hash(e) == hash(Mod(e.value, modulus))
+                assert report.observed == report.predicted == predicted
