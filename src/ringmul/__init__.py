@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedShape,
     WitnessNotFound,
 )
-from .general import ColumnPairSchedule, core3_times_3xm, mat_add, mul_odd_n
+from .general import ColumnPairSchedule, core3_times_3xm, mat_add, mul_odd_n, mul_odd_n_winograd
 from .matrices import Matrix, matrix_from_ints, random_matrix
 from .polynomials import PolynomialRing, SparsePolynomial
 from .rings import (
@@ -84,6 +84,7 @@ __all__ = [
     "mul_33_33",
     "mul_n3_33",
     "mul_odd_n",
+    "mul_odd_n_winograd",
     "multiply",
     "naive",
     "noncommutative_witness",

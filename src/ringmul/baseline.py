@@ -18,12 +18,21 @@ Multiplication counts (l x n times n x m):
 Exact halvings: waksman_even performs 2*(l + m - 1), one per sign-split
 sum, whatever n is; waksman_odd inherits that count from its even part
 (none when n = 1).  naive and winograd_even perform none.
+
+Each inner product is one left fold, ``reduce(add, map(mul, ...))``,
+over B's column slices taken once per call (`B.data[j::m]`, or split by
+row parity for the paired schemes), so the loop over k runs in the
+interpreter's C code.  Additions per product, as exact tallies of
+``+``, ``-`` and unary minus:
+
+    naive          l*m*(n - 1)
+    winograd_even  (l + m)(h - 1) + l*m*(3h + 1),  h = n/2
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 from .errors import ExactHalveUnavailable, ShapeError, UnsupportedShape
 from .matrices import Matrix
@@ -38,14 +47,24 @@ def _check_inner(A, B):
 def naive(A, B):
     """Textbook product; exactly rows*inner*cols multiplications."""
     _check_inner(A, B)
-    brows = B.to_rows()
-    n = A.cols
-    out = []
-    for i in range(A.rows):
-        arow = A.row_list(i)
-        for j in range(B.cols):
-            out.append(reduce(add, [arow[k] * brows[k][j] for k in range(n)]))
-    return Matrix(A.ring, A.rows, B.cols, out)
+    m = B.cols
+    cols = [B.data[j::m] for j in range(m)]
+    out = [reduce(add, map(mul, a, col)) for a in A.to_rows() for col in cols]
+    return Matrix(A.ring, A.rows, m, out)
+
+
+def _paired_columns(B):
+    """B's columns split by 0-based row parity: the list of each column's
+    entries in rows 0, 2, 4, ... and the list of those in rows 1, 3, 5, ..."""
+    m = B.cols
+    data = B.data
+    return [data[j::2 * m] for j in range(m)], [data[m + j::2 * m] for j in range(m)]
+
+
+def _paired(a_even, a_odd, b_odd, b_even):
+    """sum_k (a_{2k-1} + b_{2k})(a_{2k} + b_{2k-1}) in 1-based names, for a
+    row and a column each split by 0-based parity; a left fold over k."""
+    return reduce(add, map(mul, map(add, a_even, b_odd), map(add, a_odd, b_even)))
 
 
 def winograd_even(A, B):
@@ -59,31 +78,21 @@ def winograd_even(A, B):
     n = A.cols
     if n % 2:
         raise UnsupportedShape(f"inner dimension {n} must be even")
-    h = n // 2
-    arows = A.to_rows()
-    brows = B.to_rows()
-    l, m = A.rows, B.cols
+    arows = [(a[0::2], a[1::2]) for a in A.to_rows()]
+    b_even, b_odd = _paired_columns(B)
 
-    r = [reduce(add, [a[2 * k] * a[2 * k + 1] for k in range(h)]) for a in arows]
-    s = [
-        reduce(add, [brows[2 * k][j] * brows[2 * k + 1][j] for k in range(h)])
-        for j in range(m)
+    r = [reduce(add, map(mul, ae, ao)) for ae, ao in arows]
+    s = [reduce(add, map(mul, be, bo)) for be, bo in zip(b_even, b_odd)]
+    out = [
+        _paired(ae, ao, bo, be) - ri - sj
+        for (ae, ao), ri in zip(arows, r)
+        for bo, be, sj in zip(b_odd, b_even, s)
     ]
-    out = []
-    for i in range(l):
-        a = arows[i]
-        ri = r[i]
-        for j in range(m):
-            acc = reduce(
-                add,
-                [(a[2 * k] + brows[2 * k + 1][j]) * (a[2 * k + 1] + brows[2 * k][j]) for k in range(h)],
-            )
-            out.append(acc - ri - s[j])
-    return Matrix(A.ring, l, m, out)
+    return Matrix(A.ring, A.rows, B.cols, out)
 
 
-def _sign_split(a, brows, j, h):
-    """Both sign variants of row a against column j, halved once per sum.
+def _sign_split(a_even, a_odd, b_odd, b_even):
+    """Both sign variants of a row against a column, halved once per sum.
 
     With P(+/-) = (a_{2k-1} +/- b_{2k,j})(a_{2k} +/- b_{2k-1,j}), returns
     (sum_k (P+ - P-)/2, sum_k (P+ + P-)/2) = (c, r + s).  Each summand is
@@ -92,9 +101,7 @@ def _sign_split(a, brows, j, h):
     """
     diff = None
     total = None
-    for k in range(h):
-        x, y = a[2 * k], a[2 * k + 1]
-        u, v = brows[2 * k + 1][j], brows[2 * k][j]
+    for x, y, u, v in zip(a_even, a_odd, b_odd, b_even):
         pp = (x + u) * (y + v)
         pm = (x - u) * (y - v)
         d = pp - pm
@@ -127,30 +134,25 @@ def waksman_even(A, B):
         raise UnsupportedShape(f"inner dimension {n} must be even")
     if not A.ring.supports_halving:
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
-    h = n // 2
-    arows = A.to_rows()
-    brows = B.to_rows()
+    arows = [(a[0::2], a[1::2]) for a in A.to_rows()]
+    b_even, b_odd = _paired_columns(B)
     l, m = A.rows, B.cols
 
     c = [[None] * m for _ in range(l)]
     t = [None] * l
     for i in range(l):
-        c[i][0], t[i] = _sign_split(arows[i], brows, 0, h)
+        c[i][0], t[i] = _sign_split(*arows[i], b_odd[0], b_even[0])
 
     u_col = [None] * m
     for j in range(1, m):
-        c[0][j], u_col[j] = _sign_split(arows[0], brows, j, h)
+        c[0][j], u_col[j] = _sign_split(*arows[0], b_odd[j], b_even[j])
 
     t1 = t[0]
     for i in range(1, l):
-        a = arows[i]
+        ae, ao = arows[i]
         ti = t[i]
         for j in range(1, m):
-            acc = reduce(
-                add,
-                [(a[2 * k] + brows[2 * k + 1][j]) * (a[2 * k + 1] + brows[2 * k][j]) for k in range(h)],
-            )
-            c[i][j] = acc - ti - u_col[j] + t1
+            c[i][j] = _paired(ae, ao, b_odd[j], b_even[j]) - ti - u_col[j] + t1
 
     return Matrix(A.ring, l, m, [v for row in c for v in row])
 

@@ -18,7 +18,7 @@ The verify suites walk one grid: every (strategy, l, n, m) within
 --max-shape that the strategy table in ringmul.dispatch marks
 applicable.  The symbolic suite clips that grid to 4,7,7, since its
 polynomial expansion costs the most; at the default 3,7,6 each suite
-runs 345 checks.
+runs 381 checks.
 
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error.  No environment variables are consulted; the

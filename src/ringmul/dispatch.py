@@ -20,6 +20,7 @@ class Strategy(Enum):
     WAKSMAN_ODD = "waksman-odd"
     CORE3 = "core3"
     GENERAL_ODD = "general"
+    GENERAL_WINOGRAD = "general-winograd"
     AUTO = "auto"
 
 
@@ -31,6 +32,7 @@ TIE_ORDER = (
     Strategy.WINOGRAD_EVEN,
     Strategy.WAKSMAN_ODD,
     Strategy.NAIVE,
+    Strategy.GENERAL_WINOGRAD,
 )
 
 _KERNELS = {
@@ -40,6 +42,7 @@ _KERNELS = {
     Strategy.WAKSMAN_ODD: baseline.waksman_odd,
     Strategy.CORE3: core3.mul_n3_33,
     Strategy.GENERAL_ODD: general.mul_odd_n,
+    Strategy.GENERAL_WINOGRAD: general.mul_odd_n_winograd,
 }
 
 
@@ -89,6 +92,14 @@ def _general_domain(l, n, m):
     return f"general needs output width >= 3, got {m}" if m < 3 else None
 
 
+def _general_count(l, n, m):
+    return _exact_half(n * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
+
+
+def _winograd_count(l, n, m):
+    return _exact_half(n * (l * m + l + m))
+
+
 class _Row(NamedTuple):
     domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None
     count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
@@ -99,9 +110,7 @@ class _Row(NamedTuple):
 #: Kernels stay in _KERNELS alone: multiply's audit keys on its entries.
 _TABLE = {
     Strategy.NAIVE: _Row(lambda l, n, m: None, lambda l, n, m: l * n * m, None),
-    Strategy.WINOGRAD_EVEN: _Row(
-        _even_n("winograd-even"), lambda l, n, m: _exact_half(n * (l * m + l + m)), None
-    ),
+    Strategy.WINOGRAD_EVEN: _Row(_even_n("winograd-even"), _winograd_count, None),
     Strategy.WAKSMAN_EVEN: _Row(
         _even_n("waksman-even"), lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
     ),
@@ -111,10 +120,12 @@ _TABLE = {
         1,
     ),
     Strategy.CORE3: _Row(_core3_domain, lambda l, n, m: 6 * l + 3, None),
-    Strategy.GENERAL_ODD: _Row(
+    Strategy.GENERAL_ODD: _Row(_general_domain, _general_count, 3),
+    # general's lead block (its n = 3 case) plus winograd-even on the rest
+    Strategy.GENERAL_WINOGRAD: _Row(
         _general_domain,
-        lambda l, n, m: _exact_half(n * (l * m + l + m - 1) + (0 if m % 2 else l - 1)),
-        3,
+        lambda l, n, m: _general_count(l, 3, m) + _winograd_count(l, n - 3, m),
+        None,
     ),
 }
 

@@ -4,14 +4,24 @@ mul_odd_n multiplies l x n by n x m (n odd >= 3, m >= 3) by splitting
 A = [A1 | A2], B = [B1 over B2] with A1 l x 3, B1 3 x m, so that
 AB = A1*B1 + A2*B2.  The 3-wide core block A1*B1 is computed by
 core3_times_3xm below; the remainder A2*B2 has even inner dimension
-n - 3 and goes to baseline.waksman_even (absent entirely when n = 3).
+n - 3 and goes to baseline.waksman_even (absent entirely when n = 3),
+which halves exactly.  mul_odd_n_winograd is the same split with the
+remainder on baseline.winograd_even, which never halves: it is the
+odd-n schedule over rings without exact halving, such as Z/2^k.
 
 Multiplication counts:
 
-    core3_times_3xm   3(lm + l + m - 1)/2           (m odd)
-                      2(l - 1) + 3(lm + m)/2        (m even)
-    mul_odd_n         n(lm + l + m - 1)/2           (m odd)
-                      (n(lm + l + m - 1) + l - 1)/2 (m even)
+    core3_times_3xm     3(lm + l + m - 1)/2           (m odd)
+                        2(l - 1) + 3(lm + m)/2        (m even)
+    mul_odd_n           n(lm + l + m - 1)/2           (m odd)
+                        (n(lm + l + m - 1) + l - 1)/2 (m even)
+    mul_odd_n_winograd  core3_times_3xm's count + (n - 3)(lm + l + m)/2
+
+Additions, tallied as each ``+``, ``-`` and unary minus: at 16 x 15 x 16,
+mul_odd_n spends 9851 additions and 62 exact halvings, and
+mul_odd_n_winograd 8949 additions and no halving (the textbook product
+spends 3584 additions).  Both share one body, _lead_plus_remainder, and
+differ only in the remainder kernel they pass it.
 
 The core block runs the 3-column schedule, 3 products of entries of B
 alone (b_only_products) plus 6 per row (row_step), which is all of the
@@ -139,13 +149,11 @@ def core3_times_3xm(A1, B1):
     return Matrix(A1.ring, l, m, out)
 
 
-def mul_odd_n(A, B):
-    """l x n times n x m for odd n >= 3 and m >= 3.
+def _lead_plus_remainder(A, B, remainder):
+    """A1*B1 by core3_times_3xm plus remainder(A2, B2) for the even rest.
 
-    Exactly n(lm+l+m-1)/2 multiplications for odd m and
-    (n(lm+l+m-1) + l - 1)/2 for even m.  For n > 3 the ring must support
-    exact halving (the even remainder runs Waksman's scheme); for n = 3
-    the remainder is absent and no halving is needed.
+    The checks, the split and the n = 3 early return shared by the odd-n
+    kernels, which differ only in the remainder's schedule.
     """
     if A.cols != B.rows:
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
@@ -158,8 +166,30 @@ def mul_odd_n(A, B):
     lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
     if n == 3:
         return lead
-    remainder = baseline.waksman_even(A.slice_cols(3, n), B.slice_rows(3, n))
-    return mat_add(lead, remainder)
+    return mat_add(lead, remainder(A.slice_cols(3, n), B.slice_rows(3, n)))
+
+
+def mul_odd_n(A, B):
+    """l x n times n x m for odd n >= 3 and m >= 3.
+
+    Exactly n(lm+l+m-1)/2 multiplications for odd m and
+    (n(lm+l+m-1) + l - 1)/2 for even m.  For n > 3 the ring must support
+    exact halving (the even remainder runs Waksman's scheme); for n = 3
+    the remainder is absent and no halving is needed.
+    """
+    return _lead_plus_remainder(A, B, baseline.waksman_even)
+
+
+def mul_odd_n_winograd(A, B):
+    """l x n times n x m for odd n >= 3 and m >= 3, with no halving.
+
+    The even remainder runs Winograd's division-free scheme instead of
+    Waksman's: (n-3)(lm+l+m)/2 multiplications on top of the lead
+    block's, so 3(lm+l+m-1)/2 + (n-3)(lm+l+m)/2 for odd m and
+    2(l-1) + 3(lm+m)/2 + (n-3)(lm+l+m)/2 for even m.  This is the
+    odd-n schedule for rings without exact halving, such as Z/2^k.
+    """
+    return _lead_plus_remainder(A, B, baseline.winograd_even)
 
 
 def mat_add(X, Y):

@@ -138,8 +138,11 @@ class RandomCheckReport:
 def randomized_check(strategy, l, n, m, ring=None, trials=100, seed=0):
     """Compare a strategy to the textbook product on seeded random inputs.
 
-    Deterministic for a fixed seed; on the first mismatch the report
-    carries the full inputs and both outputs.
+    Both products run through the ring's `run` hook, the path that
+    `dispatch.multiply` takes, so over a ModularRing the check covers
+    the kernel on the entries' integer values with one reduction per
+    output entry.  Deterministic for a fixed seed; on the first mismatch
+    the report carries the full inputs and both outputs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -149,8 +152,8 @@ def randomized_check(strategy, l, n, m, ring=None, trials=100, seed=0):
     for t in range(trials):
         A = random_matrix(ring, l, n, rng)
         B = random_matrix(ring, n, m, rng)
-        got = kernel(A, B)
-        want = baseline.naive(A, B)
+        got = ring.run(kernel, A, B)
+        want = ring.run(baseline.naive, A, B)
         if got != want:
             return RandomCheckReport(
                 strategy, l, n, m, trials, t,

@@ -15,6 +15,8 @@ from ringmul import (
     ZZ,
     halve_exact,
     matrix_from_ints,
+    mul_odd_n,
+    mul_odd_n_winograd,
     naive,
     random_matrix,
     waksman_even,
@@ -134,17 +136,21 @@ def test_waksman_even_odd_modulus_ok():
     assert waksman_even(A, B) == naive(A, B)
 
 
-class _HalvingTally(Ring):
-    """Wraps a base ring; its elements count exact halvings here."""
+class _OpTally(Ring):
+    """Wraps a base ring; its elements count here each ``*``, each
+    ``+``/``-``/unary minus, and each exact halving."""
 
     supports_halving = True
 
     def __init__(self, base):
-        self.name = f"halvings({base.name})"
-        self.halvings = 0
+        self.name = f"tally({base.name})"
+        self.muls = self.adds = self.halvings = 0
+
+    def lift(self, M):
+        return M.map_entries(lambda v: _Tallied(self, v), ring=self)
 
 
-class _Halved:
+class _Tallied:
     __slots__ = ("ring", "v")
 
     def __init__(self, ring, v):
@@ -152,20 +158,24 @@ class _Halved:
         self.v = v
 
     def __add__(self, o):
-        return _Halved(self.ring, self.v + o.v)
+        self.ring.adds += 1
+        return _Tallied(self.ring, self.v + o.v)
 
     def __sub__(self, o):
-        return _Halved(self.ring, self.v - o.v)
+        self.ring.adds += 1
+        return _Tallied(self.ring, self.v - o.v)
 
     def __mul__(self, o):
-        return _Halved(self.ring, self.v * o.v)
+        self.ring.muls += 1
+        return _Tallied(self.ring, self.v * o.v)
 
     def __neg__(self):
-        return _Halved(self.ring, -self.v)
+        self.ring.adds += 1
+        return _Tallied(self.ring, -self.v)
 
     def halve(self):
         self.ring.halvings += 1
-        return _Halved(self.ring, halve_exact(self.v))
+        return _Tallied(self.ring, halve_exact(self.v))
 
 
 @pytest.mark.parametrize("l,n,m", [(3, 6, 4), (1, 4, 5), (5, 2, 1)])
@@ -178,12 +188,8 @@ def test_waksman_even_halves_each_sum_once(base, l, n, m):
     rng = random.Random(l * 100 + n * 10 + m)
     A = random_matrix(base, l, n, rng)
     B = random_matrix(base, n, m, rng)
-    tally = _HalvingTally(base)
-
-    def lift(M):
-        return M.map_entries(lambda v: _Halved(tally, v), ring=tally)
-
-    product = waksman_even(lift(A), lift(B))
+    tally = _OpTally(base)
+    product = waksman_even(tally.lift(A), tally.lift(B))
     # one halving per sign-split sum: l for column 1, m - 1 for row 1, two each
     assert tally.halvings == 2 * (l + m - 1)
     assert [e.v for e in product.data] == naive(A, B).data
@@ -249,3 +255,41 @@ def test_waksman_saves_half_n_over_winograd():
             _, t_wak = _counted(waksman_even, a, b)
             _, t_win = _counted(winograd_even, a, b)
             assert t_win - t_wak == n // 2
+
+
+def _op_tally(kernel, l, n, m, seed=0):
+    rng = random.Random(seed)
+    A = random_matrix(ZZ, l, n, rng)
+    B = random_matrix(ZZ, n, m, rng)
+    tally = _OpTally(ZZ)
+    product = kernel(tally.lift(A), tally.lift(B))
+    assert [e.v for e in product.data] == naive(A, B).data
+    return tally.muls, tally.adds, tally.halvings
+
+
+@pytest.mark.parametrize("l,n,m", [(1, 1, 1), (3, 4, 5), (16, 15, 16), (16, 12, 16)])
+def test_naive_spends_lm_n_minus_1_additions(l, n, m):
+    assert _op_tally(naive, l, n, m) == (l * n * m, l * m * (n - 1), 0)
+
+
+@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (3, 4, 5), (16, 12, 16), (2, 8, 7)])
+def test_winograd_even_addition_count(l, n, m):
+    h = n // 2
+    adds = (l + m) * (h - 1) + l * m * (3 * h + 1)
+    assert _op_tally(winograd_even, l, n, m) == (n * (l * m + l + m) // 2, adds, 0)
+
+
+@pytest.mark.parametrize(
+    "kernel,shape,tally",
+    [
+        (waksman_even, (16, 12, 16), (1722, 5926, 62)),
+        (waksman_even, (3, 4, 5), (44, 162, 14)),
+        (mul_odd_n, (16, 15, 16), (2160, 9851, 62)),
+        (mul_odd_n_winograd, (16, 15, 16), (2166, 8949, 0)),
+    ],
+    ids=["waksman_even-16x12x16", "waksman_even-3x4x5", "general-16x15x16", "general-winograd-16x15x16"],
+)
+def test_operation_tallies_are_pinned(kernel, shape, tally):
+    # muls, adds and halvings of one product; the schedules are
+    # straight-line programs, so these depend on the shape alone
+    assert _op_tally(kernel, *shape) == tally

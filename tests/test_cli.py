@@ -152,6 +152,31 @@ def test_mul_modular_roundtrip(tmp_path, capsys):
     assert product["data"] == [1, 5, 0, 4]
 
 
+def test_mul_mod_2_64_takes_the_halving_free_schedule(tmp_path, capsys):
+    modulus = 2**64
+    rng = random.Random(64)
+    a_rows = [[rng.randrange(modulus) for _ in range(7)] for _ in range(4)]
+    b_rows = [[rng.randrange(modulus) for _ in range(5)] for _ in range(7)]
+    a = _write(tmp_path / "a.json", {"rows": 4, "cols": 7, "data": [str(v) for r in a_rows for v in r]})
+    b = _write(tmp_path / "b.txt", "7 5\n" + "\n".join(" ".join(map(str, r)) for r in b_rows) + "\n")
+    argv = ["mul", "--a", a, "--b", b, "--ring", f"mod:{modulus}", "--report"]
+    runs = []
+    for _ in range(2):
+        code, stdout, _ = _run(capsys, argv)
+        assert code == 0
+        runs.append(stdout)
+    assert runs[0] == runs[1]
+    product_line, report_line = runs[0].strip().splitlines()
+    want = [sum(a_rows[i][k] * b_rows[k][j] for k in range(7)) % modulus for i in range(4) for j in range(5)]
+    assert [int(v) for v in json.loads(product_line)["data"]] == want
+    report = json.loads(report_line)
+    assert report["strategy"] == "general-winograd"
+    assert report["predicted"] == report["observed"] == 100
+    code, _, stderr = _run(capsys, ["mul", "--a", a, "--b", b, "--ring", f"mod:{modulus}", "--strategy", "general"])
+    assert code == 3
+    assert "halving" in stderr
+
+
 def test_mul_modulus_conflict_exit_2(tmp_path, capsys):
     a = _write(tmp_path / "a.json", {"rows": 1, "cols": 1, "modulus": 7, "data": [3]})
     b = _write(tmp_path / "b.json", {"rows": 1, "cols": 1, "modulus": 5, "data": [3]})
@@ -398,7 +423,7 @@ def test_verify_symbolic_walks_the_counts_grid_under_the_cap(capsys, bounds):
 def test_verify_symbolic_grid_is_clipped_above_the_cap(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "16,16,16"])
     assert code == 0
-    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 540
+    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 600
 
 
 def test_verify_symbolic_covers_each_bound_independently(capsys, monkeypatch):
@@ -469,7 +494,7 @@ def test_bench_modular_times_the_multiply_path(capsys, monkeypatch):
     argv = ["bench", "--shape", "3,5,4", "--ring", "mod:101", "--reps", "2", "--format", "json"]
     code, stdout, _ = _run(capsys, argv)
     assert code == 0
-    assert {row["strategy"] for row in json.loads(stdout)} == {"general", "waksman-odd", "naive"}
+    assert {row["strategy"] for row in json.loads(stdout)} == {"general", "general-winograd", "waksman-odd", "naive"}
 
 
 def test_bench_unsupported_explicit_strategy_exit_2(capsys):

@@ -48,6 +48,12 @@ CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
         (Strategy.CORE3, (1, 3, 3), 9),
         (Strategy.NAIVE, (2, 2, 2), 8),
         (Strategy.NAIVE, (3, 4, 5), 60),
+        (Strategy.GENERAL_WINOGRAD, (3, 3, 3), 21),  # general's program at n = 3
+        (Strategy.GENERAL_WINOGRAD, (2, 5, 4), 34),
+        (Strategy.GENERAL_WINOGRAD, (3, 5, 3), 36),
+        (Strategy.GENERAL_WINOGRAD, (4, 7, 5), 100),
+        (Strategy.GENERAL_WINOGRAD, (8, 9, 8), 362),
+        (Strategy.GENERAL_WINOGRAD, (16, 15, 16), 2166),
     ],
 )
 def test_predict_count_values(strategy, shape, expected):
@@ -67,6 +73,8 @@ def test_predict_count_values(strategy, shape, expected):
         (Strategy.GENERAL_ODD, (2, 5, 2)),
         (Strategy.AUTO, (2, 2, 2)),
         (Strategy.NAIVE, (0, 1, 1)),
+        (Strategy.GENERAL_WINOGRAD, (2, 4, 4)),
+        (Strategy.GENERAL_WINOGRAD, (2, 5, 2)),
     ],
 )
 def test_predict_count_domain(strategy, shape):
@@ -99,10 +107,14 @@ def test_predict_count_always_integral():
         ((2, 5, 2), True, Strategy.WAKSMAN_ODD),
         ((5, 1, 5), True, Strategy.NAIVE),
         ((2, 5, 4), True, Strategy.GENERAL_ODD),
-        ((2, 5, 4), False, Strategy.NAIVE),  # odd n > 3 needs halving
+        ((2, 5, 4), False, Strategy.GENERAL_WINOGRAD),  # 34 against naive's 40
         ((2, 4, 3), False, Strategy.WINOGRAD_EVEN),
         ((1, 2, 1), False, Strategy.NAIVE),  # winograd would cost n/2 extra here
         ((1, 4, 3), False, Strategy.NAIVE),
+        ((16, 15, 16), False, Strategy.GENERAL_WINOGRAD),  # 2166 against 3840
+        ((16, 15, 16), True, Strategy.GENERAL_ODD),
+        ((3, 5, 3), False, Strategy.GENERAL_WINOGRAD),  # 36 against 45
+        ((8, 9, 8), False, Strategy.GENERAL_WINOGRAD),  # 362 against 576
     ],
 )
 def test_choose_strategy_rules(shape, halving, expected):
@@ -357,6 +369,8 @@ _DIM = st.integers(1, 6)
 _ODD = st.integers(0, 3).map(lambda k: 2 * k + 1)
 _EVEN = st.integers(1, 3).map(lambda k: 2 * k)
 
+_GENERAL = st.tuples(_DIM, st.integers(1, 3).map(lambda k: 2 * k + 1), st.integers(3, 6))
+
 #: Shapes drawn inside each concrete strategy's domain.
 SHAPES = {
     Strategy.NAIVE: st.tuples(_DIM, _DIM, _DIM),
@@ -364,7 +378,8 @@ SHAPES = {
     Strategy.WAKSMAN_EVEN: st.tuples(_DIM, _EVEN, _DIM),
     Strategy.WAKSMAN_ODD: st.tuples(_DIM, _ODD, _DIM),
     Strategy.CORE3: st.tuples(_DIM, st.just(3), st.just(3)),
-    Strategy.GENERAL_ODD: st.tuples(_DIM, st.integers(1, 3).map(lambda k: 2 * k + 1), st.integers(3, 6)),
+    Strategy.GENERAL_ODD: _GENERAL,
+    Strategy.GENERAL_WINOGRAD: _GENERAL,
 }
 RINGS = [ZZ, ModularRing(2**61 - 1)]
 
@@ -535,3 +550,18 @@ def test_residue_products_are_canonical_and_counted(modulus, shape, seed):
                     assert e == Mod(e.value, modulus)
                     assert hash(e) == hash(Mod(e.value, modulus))
                 assert report.observed == report.predicted == predicted
+
+
+@pytest.mark.parametrize("modulus", [2**64, 2**4096], ids=["2^64", "2^4096"])
+def test_auto_over_power_of_two_moduli_runs_general_winograd(modulus):
+    # no exact halving mod 2^k, so odd n > 3 takes the halving-free schedule
+    rng = random.Random(24)
+    ring = ModularRing(modulus)
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        for _ in range(2):  # audited, then warm
+            A, B = _random_pair(ring, 16, 15, 16, rng)
+            product, report = multiply(A, B)
+            assert report.strategy is Strategy.GENERAL_WINOGRAD
+            assert report.observed == report.predicted == 2166
+            assert product == naive(A, B)
+            assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)

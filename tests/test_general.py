@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import ringmul.baseline
+import ringmul.rings
 from ringmul import (
     ColumnPairSchedule,
     CountedRing,
     ExactHalveUnavailable,
     IntegerRing,
     Matrix,
+    Mod,
     ModularRing,
     ShapeError,
     Strategy,
@@ -17,6 +20,8 @@ from ringmul import (
     mat_add,
     matrix_from_ints,
     mul_odd_n,
+    mul_odd_n_winograd,
+    multiply,
     naive,
     predict_count,
     random_matrix,
@@ -33,6 +38,10 @@ def _odd_n_count(l, n, m):
     if m % 2:
         return n * (l * m + l + m - 1) // 2
     return (n * (l * m + l + m - 1) + l - 1) // 2
+
+
+def _odd_n_winograd_count(l, n, m):
+    return _core_block_count(l, m) + (n - 3) * (l * m + l + m) // 2
 
 
 def _run_counted(kernel, a_rows, b_rows):
@@ -196,3 +205,45 @@ def test_count_beats_or_ties_odd_waksman():
                     assert ours < wak
                 else:
                     assert ours == wak
+
+
+def test_mul_odd_n_winograd_counts_and_values_over_grid():
+    rng = random.Random(7)
+    for n in (3, 5, 7, 9):
+        for l in range(1, 6):
+            for m in range(3, 8):
+                a = _random_rows(rng, l, n)
+                b = _random_rows(rng, n, m)
+                out, tally = _run_counted(mul_odd_n_winograd, a, b)
+                assert tally == _odd_n_winograd_count(l, n, m), (l, n, m)
+                assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b))
+
+
+def test_mul_odd_n_winograd_shares_the_shape_checks():
+    with pytest.raises(UnsupportedShape):
+        mul_odd_n_winograd(matrix_from_ints(ZZ, [[1, 2, 3, 4]]), matrix_from_ints(ZZ, [[1, 2, 3]] * 4))
+    with pytest.raises(UnsupportedShape):
+        mul_odd_n_winograd(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1], [2], [3]]))
+    with pytest.raises(ShapeError):
+        mul_odd_n_winograd(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2, 3]] * 5))
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 2**64])
+def test_mul_odd_n_winograd_never_halves(monkeypatch, modulus):
+    # Z/2^k has no exact halving; the schedule must not reach for it
+    def refuse(*args):
+        raise AssertionError("exact halving in the halving-free schedule")
+
+    monkeypatch.setattr(ringmul.baseline, "halve_exact", refuse)
+    monkeypatch.setattr(ringmul.rings, "halve_exact", refuse)
+    monkeypatch.setattr(Mod, "halve", refuse)
+    ring = ModularRing(modulus)
+    rng = random.Random(modulus)
+    for l, n, m in [(1, 5, 3), (2, 5, 4), (3, 7, 5), (16, 15, 16)]:
+        A = random_matrix(ring, l, n, rng)
+        B = random_matrix(ring, n, m, rng)
+        want = naive(A, B)
+        assert mul_odd_n_winograd(A, B) == want
+        product, report = multiply(A, B, Strategy.GENERAL_WINOGRAD)
+        assert product == want
+        assert report.observed == report.predicted == _odd_n_winograd_count(l, n, m)

@@ -6,6 +6,7 @@ from ringmul import (
     CountMismatch,
     Mat2Ring,
     Matrix,
+    Mod,
     ModularRing,
     Strategy,
     TermBudgetExceeded,
@@ -233,6 +234,24 @@ def test_randomized_check_reports_inputs_on_mismatch():
     assert len(report.mismatch.a_rows) == 3
     assert report.mismatch.got_rows != report.mismatch.want_rows
     assert "differs" in report.describe()
+
+
+@pytest.mark.parametrize(
+    "strategy,modulus,shape",
+    [(Strategy.GENERAL_ODD, 101, (3, 5, 4)), (Strategy.GENERAL_WINOGRAD, 2**64, (5, 7, 4))],
+    ids=["general-mod101", "general-winograd-mod2^64"],
+)
+def test_randomized_check_runs_through_the_ring_hook(monkeypatch, strategy, modulus, shape):
+    # the residue operators refuse, so only the integer-lowered path that
+    # multiply takes (ModularRing.run) can complete the check
+    def refuse(*args):
+        raise AssertionError("residue operator in randomized_check")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "halve"):
+        monkeypatch.setattr(Mod, op, refuse)
+    report = randomized_check(strategy, *shape, ring=ModularRing(modulus), trials=20, seed=3)
+    assert report.ok
+    assert report.agreements == 20
 
 
 def test_randomized_check_deterministic():
