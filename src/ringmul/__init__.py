@@ -8,7 +8,15 @@ costs n(lm + l + m - 1)/2 (odd m) or (n(lm + l + m - 1) + l - 1)/2
 (even m).  Everything is computed exactly, over integers, residues,
 or polynomials; `ringmul.verify` proves each schedule over the free
 commutative ring and audits the advertised counts.
+
+`multiply` needs neither verification nor polynomials, so they load on
+first use: the submodules `verify` and `polynomials`, the five verify
+functions (count_audit, noncommutative_witness, randomized_check,
+symbolic_verify, taint_audit) and PolynomialRing and SparsePolynomial
+are resolved through the module `__getattr__` and keep their names here.
 """
+
+import importlib
 
 from .baseline import naive, waksman_even, waksman_odd, winograd_even
 from .core3 import SharedBProducts, mul_33_33, mul_n3_33, row_times_3x3, shared_b_products
@@ -24,7 +32,6 @@ from .errors import (
 )
 from .general import ColumnPairSchedule, core3_times_3xm, mat_add, mul_odd_n, mul_odd_n_winograd
 from .matrices import Matrix, matrix_from_ints, random_matrix
-from .polynomials import PolynomialRing, SparsePolynomial
 from .rings import (
     Counted,
     CountedRing,
@@ -38,13 +45,6 @@ from .rings import (
     ZZ,
     halve_exact,
     ring_axiom_check,
-)
-from .verify import (
-    count_audit,
-    noncommutative_witness,
-    randomized_check,
-    symbolic_verify,
-    taint_audit,
 )
 
 __version__ = "0.1.0"
@@ -100,3 +100,28 @@ __all__ = [
     "waksman_odd",
     "winograd_even",
 ]
+
+
+#: Public names loaded on first use, each mapped to the submodule that defines it.
+_LAZY = {
+    "verify": "verify",
+    "count_audit": "verify",
+    "noncommutative_witness": "verify",
+    "randomized_check": "verify",
+    "symbolic_verify": "verify",
+    "taint_audit": "verify",
+    "polynomials": "polynomials",
+    "PolynomialRing": "polynomials",
+    "SparsePolynomial": "polynomials",
+}
+
+
+def __getattr__(name):
+    try:
+        submodule = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value

@@ -24,6 +24,10 @@ Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error.  No environment variables are consulted; the
 default seed is 0.  Integer entries of any size round-trip exactly:
 mul lifts the interpreter's 4300-digit int/str limit while it runs.
+
+Start-up loads only what mul runs: ringmul.verify (and with it
+ringmul.polynomials) is imported by the verify helpers, and random and
+statistics by cmd_bench, when those commands run.
 """
 
 from __future__ import annotations
@@ -32,12 +36,9 @@ import argparse
 import contextlib
 import itertools
 import json
-import random
-import statistics
 import sys
 import time
 
-from . import verify
 from .dispatch import Strategy, applicable, kernel_for, multiply, predict_count
 from .errors import (
     CountMismatch,
@@ -303,6 +304,8 @@ def _supported_shapes(lmax, nmax, mmax):
 
 
 def _verify_counts(strategy, l, n, m, seed):
+    from . import verify
+
     try:
         verify.count_audit(strategy, l, n, m, seed=seed)
     except CountMismatch as e:
@@ -311,6 +314,8 @@ def _verify_counts(strategy, l, n, m, seed):
 
 
 def _verify_random(strategy, l, n, m, seed):
+    from . import verify
+
     report = verify.randomized_check(strategy, l, n, m, trials=8, seed=seed)
     if report.ok:
         return None
@@ -325,6 +330,8 @@ def _verify_random(strategy, l, n, m, seed):
 
 
 def _verify_symbolic(strategy, l, n, m, seed):
+    from . import verify
+
     report = verify.symbolic_verify(strategy, l, n, m)
     if report.ok:
         return None
@@ -399,6 +406,9 @@ def _bench_ring(spec):
 
 
 def cmd_bench(args):
+    import random
+    import statistics
+
     if args.reps < 1:
         return _fail(2, f"--reps must be >= 1, got {args.reps}")
     try:

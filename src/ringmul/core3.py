@@ -12,15 +12,14 @@ of it, and mul_n3_33 is general.core3_times_3xm at m = 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeError
 from .general import b_only_products, core3_times_3xm, row_step
 from .matrices import Matrix
 
 
-@dataclass(frozen=True)
-class SharedBProducts:
+class SharedBProducts(NamedTuple):
     """The three multiplications involving only entries of B.
 
     p7 = b12*b21, p8 = b13*b31, p9 = b23*b32 (numbered after their

@@ -4,7 +4,6 @@ multiply that counts each (kernel, shape) once and then runs bare."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -46,8 +45,7 @@ _KERNELS = {
 }
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Observed multiplication tally next to the formula prediction.
 
     observed is the tally of a counted run of this kernel at this shape:

@@ -40,15 +40,14 @@ that shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import baseline
 from .errors import ShapeError, UnsupportedShape
 from .matrices import Matrix
 
 
-@dataclass(frozen=True)
-class ColumnPairSchedule:
+class ColumnPairSchedule(NamedTuple):
     """Column pairs (1-based) processed together beyond the lead block.
 
     start is 4 for odd width, 5 for even width (column 4 is then handled

@@ -11,8 +11,7 @@ default integer ring.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExactHalveUnavailable, NotEvenlyDivisible
 from .matrices import Matrix
@@ -471,8 +470,7 @@ class CountedRing(Ring):
         return matrix.map_entries(lambda e: e.value, ring=self.base)
 
 
-@dataclass
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     law: str
     operands: tuple
 
@@ -481,8 +479,7 @@ class AxiomFailure:
         return f"{self.law} fails on ({ops})"
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ring_name: str
     samples: int
     failures: list
@@ -499,6 +496,8 @@ def ring_axiom_check(ring, samples=100, seed=0):
     identities and additive inverses.  Failures are collected into the
     report rather than raised; deterministic for a fixed seed.
     """
+    import random
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)

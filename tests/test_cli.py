@@ -1,13 +1,16 @@
 import contextlib
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ringmul import IntegerRing, Matrix, Mod, ModularRing, Strategy, cli, dispatch, matrix_from_ints, multiply
+from ringmul import IntegerRing, Matrix, Mod, ModularRing, Strategy, cli, dispatch, matrix_from_ints, multiply, verify
 
 I3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
 
@@ -428,13 +431,13 @@ def test_verify_symbolic_grid_is_clipped_above_the_cap(capsys):
 
 def test_verify_symbolic_covers_each_bound_independently(capsys, monkeypatch):
     proved = []
-    real = cli.verify.symbolic_verify
+    real = verify.symbolic_verify
 
     def recording(strategy, l, n, m):
         proved.append((strategy, l, n, m))
         return real(strategy, l, n, m)
 
-    monkeypatch.setattr(cli.verify, "symbolic_verify", recording)
+    monkeypatch.setattr(verify, "symbolic_verify", recording)
     code, _, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "1,6,3"])
     assert code == 0
     assert all(l <= 1 and n <= 6 and m <= 3 for _, l, n, m in proved)
@@ -525,3 +528,17 @@ def test_unknown_flags_exit_2(capsys):
         cli.main(["table", "--lmax", "not-a-number", "--nmax", "3", "--mmax", "3"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_verification_and_statistics_off_the_start_path():
+    def loaded(code):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = f"import sys\n{code}\nprint(*sys.modules)"
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    # the difference ignores whatever the interpreter's site already loads
+    added = loaded("import ringmul.cli") - loaded("pass")
+    assert "ringmul.cli" in added
+    off_path = {"ringmul.verify", "ringmul.polynomials", "dataclasses", "inspect", "statistics", "fractions", "decimal"}
+    assert not added & off_path
