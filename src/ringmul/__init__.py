@@ -19,7 +19,6 @@ are resolved through the module `__getattr__` and keep their names here.
 import importlib
 
 from .baseline import naive, waksman_even, waksman_odd, winograd_even
-from .core3 import SharedBProducts, mul_33_33, mul_n3_33, row_times_3x3, shared_b_products
 from .dispatch import CostReport, Strategy, choose_strategy, kernel_for, multiply, predict_count
 from .errors import (
     CountMismatch,
@@ -30,7 +29,18 @@ from .errors import (
     UnsupportedShape,
     WitnessNotFound,
 )
-from .general import ColumnPairSchedule, core3_times_3xm, mat_add, mul_odd_n, mul_odd_n_winograd
+from .general import (
+    ColumnPairSchedule,
+    SharedBProducts,
+    core3_times_3xm,
+    mat_add,
+    mul_33_33,
+    mul_n3_33,
+    mul_odd_n,
+    mul_odd_n_winograd,
+    row_times_3x3,
+    shared_b_products,
+)
 from .matrices import Matrix, matrix_from_ints, random_matrix
 from .rings import (
     Counted,

@@ -46,7 +46,7 @@ from .errors import (
     ShapeError,
     UnsupportedShape,
 )
-from .matrices import Matrix, matrix_from_ints
+from .matrices import Matrix
 from .rings import IntegerRing, ModularRing
 
 _CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
@@ -202,10 +202,8 @@ def cmd_mul(args):
         return _fail(2, f"bad ring spec {args.ring!r} (use int or mod:P)")
 
     ring = ModularRing(modulus) if modulus is not None else IntegerRing()
-    A = matrix_from_ints(ring, [ea[i * ca : (i + 1) * ca] for i in range(ra)])
-    B = matrix_from_ints(ring, [eb[i * cb : (i + 1) * cb] for i in range(rb)])
-    if ca != rb:
-        return _fail(2, f"inner dimensions disagree: {ra}x{ca} times {rb}x{cb}")
+    A = Matrix(ring, ra, ca, [ring.from_int(v) for v in ea])
+    B = Matrix(ring, rb, cb, [ring.from_int(v) for v in eb])
 
     strategy = Strategy(args.strategy)
     try:
@@ -225,18 +223,7 @@ def cmd_mul(args):
     else:
         print(payload)
     if args.report:
-        print(
-            json.dumps(
-                {
-                    "strategy": report.strategy.value,
-                    "l": report.l,
-                    "n": report.n,
-                    "m": report.m,
-                    "predicted": report.predicted,
-                    "observed": report.observed,
-                }
-            )
-        )
+        print(json.dumps({**report._asdict(), "strategy": report.strategy.value}))
     return 0
 
 

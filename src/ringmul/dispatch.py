@@ -7,7 +7,7 @@ import functools
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from . import baseline, core3, general
+from . import baseline, general
 from .errors import ShapeError, UnsupportedShape
 from .rings import CountedRing
 
@@ -21,28 +21,6 @@ class Strategy(Enum):
     GENERAL_ODD = "general"
     GENERAL_WINOGRAD = "general-winograd"
     AUTO = "auto"
-
-
-#: Preference order for breaking predicted-count ties.
-TIE_ORDER = (
-    Strategy.GENERAL_ODD,
-    Strategy.CORE3,
-    Strategy.WAKSMAN_EVEN,
-    Strategy.WINOGRAD_EVEN,
-    Strategy.WAKSMAN_ODD,
-    Strategy.NAIVE,
-    Strategy.GENERAL_WINOGRAD,
-)
-
-_KERNELS = {
-    Strategy.NAIVE: baseline.naive,
-    Strategy.WINOGRAD_EVEN: baseline.winograd_even,
-    Strategy.WAKSMAN_EVEN: baseline.waksman_even,
-    Strategy.WAKSMAN_ODD: baseline.waksman_odd,
-    Strategy.CORE3: core3.mul_n3_33,
-    Strategy.GENERAL_ODD: general.mul_odd_n,
-    Strategy.GENERAL_WINOGRAD: general.mul_odd_n_winograd,
-}
 
 
 class CostReport(NamedTuple):
@@ -64,7 +42,7 @@ class CostReport(NamedTuple):
 def kernel_for(strategy):
     """The kernel callable implementing a concrete strategy."""
     try:
-        return _KERNELS[strategy]
+        return _TABLE[strategy].kernel
     except KeyError:
         raise UnsupportedShape(f"{strategy} has no kernel; resolve AUTO first") from None
 
@@ -99,33 +77,45 @@ def _winograd_count(l, n, m):
 
 
 class _Row(NamedTuple):
+    kernel: Callable  # (A, B) -> A*B; multiply's audit keys on this object
     domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None
     count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
     halves_above: int | None  # the kernel halves when n exceeds this; None: never
 
 
-#: Domain, count formula and halving need of each concrete strategy.
-#: Kernels stay in _KERNELS alone: multiply's audit keys on its entries.
+#: Kernel, domain, count formula and halving need of each concrete
+#: strategy, one row each.  The rows are in tie order: among applicable
+#: strategies with the same predicted count, choose_strategy takes the
+#: first row.  naive sits before waksman-odd, so at equal counts (every
+#: n = 1 shape among them) the textbook product wins with fewer additions.
 _TABLE = {
-    Strategy.NAIVE: _Row(lambda l, n, m: None, lambda l, n, m: l * n * m, None),
-    Strategy.WINOGRAD_EVEN: _Row(_even_n("winograd-even"), _winograd_count, None),
+    Strategy.GENERAL_ODD: _Row(general.mul_odd_n, _general_domain, _general_count, 3),
+    Strategy.CORE3: _Row(general.mul_n3_33, _core3_domain, lambda l, n, m: 6 * l + 3, None),
     Strategy.WAKSMAN_EVEN: _Row(
-        _even_n("waksman-even"), lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
+        baseline.waksman_even,
+        _even_n("waksman-even"),
+        lambda l, n, m: _exact_half(n * (l * m + l + m - 1)),
+        0,
     ),
+    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, _even_n("winograd-even"), _winograd_count, None),
+    Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
     Strategy.WAKSMAN_ODD: _Row(
+        baseline.waksman_odd,
         lambda l, n, m: None if n % 2 else f"waksman-odd needs odd inner dimension, got {n}",
         lambda l, n, m: _exact_half((n - 1) * (l * m + l + m - 1)) + l * m,
         1,
     ),
-    Strategy.CORE3: _Row(_core3_domain, lambda l, n, m: 6 * l + 3, None),
-    Strategy.GENERAL_ODD: _Row(_general_domain, _general_count, 3),
     # general's lead block (its n = 3 case) plus winograd-even on the rest
     Strategy.GENERAL_WINOGRAD: _Row(
+        general.mul_odd_n_winograd,
         _general_domain,
         lambda l, n, m: _general_count(l, 3, m) + _winograd_count(l, n - 3, m),
         None,
     ),
 }
+
+#: Preference order for breaking predicted-count ties: the table's order.
+TIE_ORDER = tuple(_TABLE)
 
 
 def predict_count(strategy, l, n, m):
@@ -158,20 +148,19 @@ def applicable(strategy, l, n, m, supports_halving):
 @functools.lru_cache(maxsize=1024)
 def choose_strategy(l, n, m, supports_halving=True):
     """Deterministic strategy choice: the lowest predicted count among the
-    strategies applicable to the shape and ring capabilities, ties broken
-    by TIE_ORDER, except that n == 1 is NAIVE (waksman-odd ties it there).
+    strategies applicable to the shape and ring capabilities.  Tie order
+    is table order: min keeps the first of equal counts, and _TABLE's rows
+    are written in preference order (TIE_ORDER).
     """
     if l < 1 or n < 1 or m < 1:
         raise UnsupportedShape(f"dimensions must be positive, got ({l}, {n}, {m})")
-    if n == 1:
-        return Strategy.NAIVE
     return min(
-        (s for s in TIE_ORDER if applicable(s, l, n, m, supports_halving)),
+        (s for s in _TABLE if applicable(s, l, n, m, supports_halving)),
         key=lambda s: predict_count(s, l, n, m),
     )
 
 
-#: Audited multiplication tallies keyed by (kernel-table entry, l, n, m).
+#: Audited multiplication tallies keyed by (table row's kernel, l, n, m).
 #: Each key is written once, after a counted run of that kernel succeeds;
 #: two threads missing together only repeat the audit.
 _AUDITED = {}
@@ -187,22 +176,30 @@ def multiply(A, B, strategy=Strategy.AUTO):
     the shape alone.  The first product of a given kernel and shape runs
     over an instrumented view of the input ring and records its tally;
     later products of that kernel and shape run bare and report the
-    recorded tally as observed.  A kernel replaced in the kernel table is
+    recorded tally as observed.  A kernel replaced in its table row is
     a new key and is counted afresh.  Both runs go through the ring's
     `run` hook: over a ModularRing the kernel runs on the entries'
     integer values and each output entry is reduced once, so no residue
     operator runs; the count is the same, since the program is.
+
+    Every schedule but naive relies on commuting entries, so over a ring
+    whose `commutative` is False AUTO resolves to NAIVE and any other
+    strategy raises ValueError.
     """
     if A.cols != B.rows:
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
     if A.ring.name != B.ring.name:
         raise ValueError(f"operands over different rings: {A.ring.name} vs {B.ring.name}")
     l, n, m = A.rows, A.cols, B.cols
+    if not A.ring.commutative and strategy is not Strategy.NAIVE:
+        if strategy is not Strategy.AUTO:
+            raise ValueError(f"{strategy.value} needs a commutative ring, {A.ring.name} is not")
+        strategy = Strategy.NAIVE
     if strategy is Strategy.AUTO:
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
     predicted = predict_count(strategy, l, n, m)
     kernel = kernel_for(strategy)
-    key = (_KERNELS[strategy], l, n, m)
+    key = (_TABLE[strategy].kernel, l, n, m)
     observed = _AUDITED.get(key)
     if observed is not None:
         product = A.ring.run(kernel, A, B)

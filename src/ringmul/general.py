@@ -1,4 +1,4 @@
-"""General product for odd inner dimension.
+"""General product for odd inner dimension, and its 3x3 views.
 
 mul_odd_n multiplies l x n by n x m (n odd >= 3, m >= 3) by splitting
 A = [A1 | A2], B = [B1 over B2] with A1 l x 3, B1 3 x m, so that
@@ -21,11 +21,16 @@ Additions, tallied as each ``+``, ``-`` and unary minus: at 16 x 15 x 16,
 mul_odd_n spends 9851 additions and 62 exact halvings, and
 mul_odd_n_winograd 8949 additions and no halving (the textbook product
 spends 3584 additions).  Both share one body, _lead_plus_remainder, and
-differ only in the remainder kernel they pass it.
+differ only in the remainder kernel they pass it.  In the strategy table
+(ringmul.dispatch._TABLE) mul_odd_n's row comes first and
+mul_odd_n_winograd's last; tie order is table order, so `auto` runs
+mul_odd_n wherever it ties another strategy and mul_odd_n_winograd only
+where it is strictly cheapest.
 
 The core block runs the 3-column schedule, 3 products of entries of B
 alone (b_only_products) plus 6 per row (row_step), which is all of the
-6l + 3 product l x 3 times 3 x 3 (`ringmul.core3` is that m = 3 view).
+6l + 3 product l x 3 times 3 x 3.  shared_b_products, row_times_3x3,
+mul_n3_33 and mul_33_33 are views of that m = 3 case on Matrix values.
 It extends to the columns beyond the third two at a time: each column
 pair (j, j+1) reuses the three row-level products shared with columns
 1..3 and adds exactly 3 new row-level products per row plus 3 products
@@ -92,6 +97,43 @@ def row_step(a1, a2, a3, b1, b2, b3, q, out):
     return rp1, rp2, rp3
 
 
+class SharedBProducts(NamedTuple):
+    """The three multiplications involving only entries of B.
+
+    p7 = b12*b21, p8 = b13*b31, p9 = b23*b32 (numbered after their
+    position in the row schedule).
+    """
+
+    p7: object
+    p8: object
+    p9: object
+
+
+def _check_b(B):
+    if B.shape != (3, 3):
+        raise ShapeError(f"B must be 3x3, got {B.rows}x{B.cols}")
+
+
+def shared_b_products(B):
+    """Compute the three B-only products of a 3x3 B; exactly 3 multiplications."""
+    _check_b(B)
+    return SharedBProducts(*b_only_products(B.row_list(0), B.row_list(1), B.row_list(2)))
+
+
+def row_times_3x3(a, B, shared):
+    """Product of a 1x3 row with a 3x3 matrix; exactly 6 multiplications.
+
+    shared must have been computed from this B (shared_b_products), which
+    is what keeps the per-row cost at 6 instead of 9.
+    """
+    if a.shape != (1, 3):
+        raise ShapeError(f"row must be 1x3, got {a.rows}x{a.cols}")
+    _check_b(B)
+    c = []
+    row_step(*a.row_list(0), B.row_list(0), B.row_list(1), B.row_list(2), shared, c)
+    return Matrix(a.ring, 1, 3, c)
+
+
 def core3_times_3xm(A1, B1):
     """l x 3 times 3 x m (m >= 3) with row-shared and B-only products.
 
@@ -146,6 +188,23 @@ def core3_times_3xm(A1, B1):
             out.append(rp2 + rp3 + u2 + u3 - q13 - q23 - v2 - v3)
 
     return Matrix(A1.ring, l, m, out)
+
+
+def mul_n3_33(A, B):
+    """n x 3 times 3 x 3 in exactly 6n + 3 multiplications: core3_times_3xm
+    at m = 3."""
+    if A.cols != 3:
+        raise ShapeError(f"A must have 3 columns, got {A.cols}")
+    _check_b(B)
+    return core3_times_3xm(A, B)
+
+
+def mul_33_33(A, B):
+    """3x3 product in exactly 21 multiplications: the n = 3 case of
+    mul_n3_33."""
+    if A.shape != (3, 3):
+        raise ShapeError(f"A must be 3x3, got {A.rows}x{A.cols}")
+    return mul_n3_33(A, B)
 
 
 def _lead_plus_remainder(A, B, remainder):

@@ -30,11 +30,6 @@ class SparsePolynomial:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __add__(self, other):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented

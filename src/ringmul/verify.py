@@ -20,9 +20,9 @@ produces wrong answers, so commutativity is genuinely load-bearing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import baseline, core3
+from . import baseline, general
 from .dispatch import CostReport, Strategy, kernel_for, predict_count
 from .errors import CountMismatch, TermBudgetExceeded, WitnessNotFound
 from .matrices import Matrix, random_matrix
@@ -38,8 +38,7 @@ def entry_names(l, n, m):
     return a + b
 
 
-@dataclass
-class SymbolicReport:
+class SymbolicReport(NamedTuple):
     """Outcome of one symbolic identity check.
 
     On failure, entry is the (row, col) of the first wrong output entry
@@ -103,8 +102,7 @@ def symbolic_verify(strategy, l, n, m, kernel=None, max_terms=200_000):
     return SymbolicReport(strategy, l, n, m, True)
 
 
-@dataclass
-class Mismatch:
+class Mismatch(NamedTuple):
     trial: int
     a_rows: list
     b_rows: list
@@ -112,8 +110,7 @@ class Mismatch:
     want_rows: list
 
 
-@dataclass
-class RandomCheckReport:
+class RandomCheckReport(NamedTuple):
     strategy: object
     l: int
     n: int
@@ -201,8 +198,7 @@ def taint_audit(strategy, l, n, m, seed=0):
     return _counted_run(kernel_for(strategy), l, n, m, random.Random(seed)).untainted_muls
 
 
-@dataclass
-class NoncommutativeWitness:
+class NoncommutativeWitness(NamedTuple):
     """Inputs over 2x2 integer matrices where the 3x3 schedule fails.
 
     schedule_product comes from the 21-multiplication schedule,
@@ -231,7 +227,7 @@ def noncommutative_witness(seed=0, attempts=64, sample_span=2):
     for attempt in range(attempts):
         A = random_matrix(ring, 3, 3, rng)
         B = random_matrix(ring, 3, 3, rng)
-        got = core3.mul_33_33(A, B)
+        got = general.mul_33_33(A, B)
         want = baseline.naive(A, B)
         if got != want:
             diffs = [

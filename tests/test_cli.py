@@ -325,14 +325,14 @@ def test_verify_exits_1_with_witness_on_broken_kernel(capsys, monkeypatch):
     import ringmul.dispatch as dispatch
     from ringmul import Strategy
 
-    original = dispatch._KERNELS[Strategy.NAIVE]
+    original = dispatch._TABLE[Strategy.NAIVE].kernel
 
     def broken(A, B):
         out = original(A, B)
         A.data[0] * B.data[0]  # extra tallied multiplication
         return out
 
-    monkeypatch.setitem(dispatch._KERNELS, Strategy.NAIVE, broken)
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, dispatch._TABLE[Strategy.NAIVE]._replace(kernel=broken))
     code, stdout, _ = _run(capsys, ["verify", "--suite", "counts", "--max-shape", "1,2,2"])
     assert code == 1
     summary = json.loads(stdout)
@@ -399,13 +399,13 @@ def test_verify_random_suite(capsys):
 
 @pytest.mark.parametrize("strategy", list(dispatch._TABLE), ids=lambda s: s.value)
 def test_verify_symbolic_proves_every_table_row(capsys, monkeypatch, strategy):
-    original = dispatch._KERNELS[strategy]
+    original = dispatch._TABLE[strategy].kernel
 
     def mutant(A, B):
         C = original(A, B)
         return Matrix(C.ring, C.rows, C.cols, [C.data[0] + A.data[0] * B.data[0]] + C.data[1:])
 
-    monkeypatch.setitem(dispatch._KERNELS, strategy, mutant)
+    monkeypatch.setitem(dispatch._TABLE, strategy, dispatch._TABLE[strategy]._replace(kernel=mutant))
     code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "1,3,3"])
     assert code == 1
     failing = json.loads(stdout)["suites"]["symbolic"]["failures"]

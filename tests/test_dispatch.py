@@ -12,6 +12,7 @@ import ringmul.dispatch as dispatch
 from ringmul import (
     CountedRing,
     ExactHalveUnavailable,
+    Mat2Ring,
     Matrix,
     Mod,
     ModularRing,
@@ -115,6 +116,8 @@ def test_predict_count_always_integral():
         ((16, 15, 16), True, Strategy.GENERAL_ODD),
         ((3, 5, 3), False, Strategy.GENERAL_WINOGRAD),  # 36 against 45
         ((8, 9, 8), False, Strategy.GENERAL_WINOGRAD),  # 362 against 576
+        ((2, 5, 1), True, Strategy.NAIVE),  # ties waksman-odd at 10, with 8 additions against 30
+        ((1, 5, 2), True, Strategy.NAIVE),  # ties waksman-odd at 10
     ],
 )
 def test_choose_strategy_rules(shape, halving, expected):
@@ -180,6 +183,36 @@ def test_table_matches_the_kernels():
             if (over_mod4 is ExactHalveUnavailable) != needs_halving:
                 mismatches.append(("halving", s, l, n, m, over_mod4))
     assert mismatches == []
+
+
+def test_each_strategy_has_one_table_row_holding_its_kernel():
+    assert set(dispatch._TABLE) == set(CONCRETE)
+    assert TIE_ORDER == tuple(dispatch._TABLE)
+    for s in CONCRETE:
+        assert kernel_for(s) is dispatch._TABLE[s].kernel
+    with pytest.raises(UnsupportedShape):
+        kernel_for(Strategy.AUTO)
+
+
+def test_multiply_over_a_noncommutative_ring_runs_naive():
+    ring = Mat2Ring()
+    rng = random.Random(7)
+    A = random_matrix(ring, 3, 3, rng)
+    B = random_matrix(ring, 3, 3, rng)
+    product, report = multiply(A, B)
+    assert report.strategy is Strategy.NAIVE
+    assert product == naive(A, B)
+    assert multiply(A, B, Strategy.NAIVE)[0] == product
+    # the fast schedule itself is wrong here, which is why auto avoids it
+    assert kernel_for(Strategy.GENERAL_ODD)(A, B) != product
+
+
+@pytest.mark.parametrize("strategy", [s for s in CONCRETE if s is not Strategy.NAIVE], ids=lambda s: s.value)
+def test_multiply_refuses_fast_strategies_over_a_noncommutative_ring(strategy):
+    ring = Mat2Ring()
+    A = random_matrix(ring, 3, 3, random.Random(8))
+    with pytest.raises(ValueError, match=f"{strategy.value} needs a commutative ring, mat2 is not"):
+        multiply(A, A, strategy)
 
 
 def test_multiply_auto_3x3_identities():
@@ -300,14 +333,14 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
 def test_replaced_kernel_is_audited_afresh(monkeypatch):
     A = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
     assert multiply(A, A, Strategy.NAIVE)[1].observed == 8
-    original = dispatch._KERNELS[Strategy.NAIVE]
+    original = dispatch._TABLE[Strategy.NAIVE].kernel
 
     def doubled(A, B):
         first = original(A, B)
         original(A, B)  # run twice: tally doubles
         return first
 
-    monkeypatch.setitem(dispatch._KERNELS, Strategy.NAIVE, doubled)
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, dispatch._TABLE[Strategy.NAIVE]._replace(kernel=doubled))
     # the first call counts the new kernel; every later report repeats it
     for _ in range(2):
         product, report = multiply(A, A, Strategy.NAIVE)
@@ -319,9 +352,10 @@ def test_audit_table_never_exceeds_its_bound(monkeypatch):
     monkeypatch.setattr(dispatch, "_AUDITED", {})
     A = matrix_from_ints(ZZ, [[5]])
     sizes = []
+    row = dispatch._TABLE[Strategy.NAIVE]
     for _ in range(dispatch._AUDITED_MAX + 3):
         # a fresh kernel object is a fresh key
-        monkeypatch.setitem(dispatch._KERNELS, Strategy.NAIVE, lambda A, B: naive(A, B))
+        monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, row._replace(kernel=lambda A, B: naive(A, B)))
         assert multiply(A, A, Strategy.NAIVE)[1].observed == 1
         sizes.append(len(dispatch._AUDITED))
     assert max(sizes) == dispatch._AUDITED_MAX == 1024

@@ -7,6 +7,7 @@ import pytest
 
 from ringmul import ColumnPairSchedule, CostReport, SharedBProducts, Strategy
 from ringmul.rings import AxiomFailure, AxiomReport
+from ringmul.verify import Mismatch, NoncommutativeWitness, RandomCheckReport, SymbolicReport
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -34,13 +35,29 @@ def test_lazy_package_names(code):
     assert proc.returncode == 0, proc.stderr
 
 
-#: Each record with its field order as a dataclass, and sample values.
+#: Each record with its field order and sample values.
 RECORDS = [
     (CostReport, ("strategy", "l", "n", "m", "predicted", "observed"), (Strategy.GENERAL_ODD, 3, 3, 3, 21, 21)),
     (ColumnPairSchedule, ("start", "pairs"), (4, ((4, 5),))),
     (SharedBProducts, ("p7", "p8", "p9"), (7, 8, 9)),
     (AxiomFailure, ("law", "operands"), ("mul_commutative", (1, 2))),
     (AxiomReport, ("ring_name", "samples", "failures"), ("ZZ", 3, [])),
+    (
+        SymbolicReport,
+        ("strategy", "l", "n", "m", "ok", "entry", "monomial", "coefficient"),
+        (Strategy.CORE3, 1, 3, 3, False, (0, 0), "a11*b11", 1),
+    ),
+    (Mismatch, ("trial", "a_rows", "b_rows", "got_rows", "want_rows"), (2, [[1]], [[2]], [[3]], [[2]])),
+    (
+        RandomCheckReport,
+        ("strategy", "l", "n", "m", "trials", "agreements", "mismatch"),
+        (Strategy.NAIVE, 1, 1, 1, 4, 4, None),
+    ),
+    (
+        NoncommutativeWitness,
+        ("attempt", "a", "b", "schedule_product", "naive_product", "differing_entries"),
+        (0, "A", "B", "AB", "BA", [(0, 0)]),
+    ),
 ]
 
 

@@ -280,21 +280,22 @@ def test_count_audit_runs_at_least_two_inputs():
 def test_count_audit_mismatch_raises():
     import ringmul.dispatch as dispatch
 
-    original = dispatch._KERNELS[Strategy.NAIVE]
+    row = dispatch._TABLE[Strategy.NAIVE]
+    original = row.kernel
 
     def doubled(A, B):
         first = original(A, B)
         original(A, B)  # run twice: tally doubles
         return first
 
-    dispatch._KERNELS[Strategy.NAIVE] = doubled
+    dispatch._TABLE[Strategy.NAIVE] = row._replace(kernel=doubled)
     try:
         with pytest.raises(CountMismatch) as info:
             count_audit(Strategy.NAIVE, 2, 2, 2)
         assert info.value.predicted == 8
         assert info.value.observed == 16
     finally:
-        dispatch._KERNELS[Strategy.NAIVE] = original
+        dispatch._TABLE[Strategy.NAIVE] = row
 
 
 # ---------------------------------------------------------------------------
