@@ -18,7 +18,7 @@ The verify suites walk one grid: every (strategy, l, n, m) within
 --max-shape that the strategy table in ringmul.dispatch marks
 applicable.  The symbolic suite clips that grid to 4,7,7, since its
 polynomial expansion costs the most; at the default 3,7,6 each suite
-runs 381 checks.
+runs 417 checks.
 
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error.  No environment variables are consulted; the
@@ -39,7 +39,7 @@ import json
 import sys
 import time
 
-from .dispatch import Strategy, applicable, kernel_for, multiply, predict_count
+from .dispatch import MIRRORS, Strategy, applicable, kernel_for, multiply, predict_count
 from .errors import (
     CountMismatch,
     ExactHalveUnavailable,
@@ -209,7 +209,9 @@ def cmd_mul(args):
     try:
         product, report = multiply(A, B, strategy)
     except UnsupportedShape as e:
-        return _fail(3, f"strategy {args.strategy} does not cover {ra}x{ca} times {rb}x{cb}: {e}")
+        mirror = MIRRORS.get(strategy)
+        hint = f"; {mirror.value} covers it" if mirror and applicable(mirror, ra, ca, cb, True) else ""
+        return _fail(3, f"strategy {args.strategy} does not cover {ra}x{ca} times {rb}x{cb}: {e}{hint}")
     except ExactHalveUnavailable as e:
         return _fail(3, f"ring {ring.name} lacks a capability needed by {args.strategy}: {e}")
 

@@ -20,6 +20,8 @@ class Strategy(Enum):
     CORE3 = "core3"
     GENERAL_ODD = "general"
     GENERAL_WINOGRAD = "general-winograd"
+    GENERAL_TRANSPOSED = "general-transposed"
+    GENERAL_WINOGRAD_TRANSPOSED = "general-winograd-transposed"
     AUTO = "auto"
 
 
@@ -54,18 +56,19 @@ def _exact_half(v):
     return q
 
 
-def _even_n(name):
-    return lambda l, n, m: f"{name} needs even inner dimension, got {n}" if n % 2 else None
+def _even_n(l, n, m):
+    return f"needs even inner dimension, got {n}" if n % 2 else None
 
 
 def _core3_domain(l, n, m):
-    return None if (n, m) == (3, 3) else f"core3 covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
+    return None if (n, m) == (3, 3) else f"covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
 
 
-def _general_domain(l, n, m):
+def _general_domain(l, n, m, width="m"):
+    """general's domain; width labels the caller's dimension that is m here."""
     if n % 2 == 0 or n < 3:
-        return f"general needs odd inner dimension >= 3, got {n}"
-    return f"general needs output width >= 3, got {m}" if m < 3 else None
+        return f"needs odd inner dimension >= 3, got {n}"
+    return f"needs {width} >= 3, got {m}" if m < 3 else None
 
 
 def _general_count(l, n, m):
@@ -78,30 +81,53 @@ def _winograd_count(l, n, m):
 
 class _Row(NamedTuple):
     kernel: Callable  # (A, B) -> A*B; multiply's audit keys on this object
-    domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None
+    domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None; no name
     count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
     halves_above: int | None  # the kernel halves when n exceeds this; None: never
+
+
+def _mirrored(row):
+    """row's schedule run on the mirrored product BᵀAᵀ, transposed back.
+
+    Over a commutative ring AB = (BᵀAᵀ)ᵀ, and a transpose is slicing, so
+    the mirrored row's domain, count and halving need are row's at
+    (m, n, l).  row's domain takes the label of its width dimension, which
+    is the caller's l here, so a refusal names the caller's dimension.
+    """
+    kernel = row.kernel
+
+    def mirrored(A, B):
+        return kernel(B.transpose(), A.transpose()).transpose()
+
+    return _Row(
+        mirrored,
+        lambda l, n, m: row.domain(m, n, l, width="l"),
+        lambda l, n, m: row.count(m, n, l),
+        row.halves_above,
+    )
 
 
 #: Kernel, domain, count formula and halving need of each concrete
 #: strategy, one row each.  The rows are in tie order: among applicable
 #: strategies with the same predicted count, choose_strategy takes the
-#: first row.  naive sits before waksman-odd, so at equal counts (every
-#: n = 1 shape among them) the textbook product wins with fewer additions.
+#: first row.  naive comes first, so at equal counts `auto` runs the
+#: textbook product, which spends the fewest additions and never halves.
+#: The mirrored rows come last, so `auto` runs a product transposed only
+#: where that is strictly cheaper.
 _TABLE = {
+    Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
     Strategy.GENERAL_ODD: _Row(general.mul_odd_n, _general_domain, _general_count, 3),
     Strategy.CORE3: _Row(general.mul_n3_33, _core3_domain, lambda l, n, m: 6 * l + 3, None),
     Strategy.WAKSMAN_EVEN: _Row(
         baseline.waksman_even,
-        _even_n("waksman-even"),
+        _even_n,
         lambda l, n, m: _exact_half(n * (l * m + l + m - 1)),
         0,
     ),
-    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, _even_n("winograd-even"), _winograd_count, None),
-    Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
+    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, _even_n, _winograd_count, None),
     Strategy.WAKSMAN_ODD: _Row(
         baseline.waksman_odd,
-        lambda l, n, m: None if n % 2 else f"waksman-odd needs odd inner dimension, got {n}",
+        lambda l, n, m: None if n % 2 else f"needs odd inner dimension, got {n}",
         lambda l, n, m: _exact_half((n - 1) * (l * m + l + m - 1)) + l * m,
         1,
     ),
@@ -113,6 +139,14 @@ _TABLE = {
         None,
     ),
 }
+
+#: The mirrored row of each strategy whose count is asymmetric in l and
+#: m.  The other counts are symmetric, so their mirrors could never win.
+MIRRORS = {
+    Strategy.GENERAL_ODD: Strategy.GENERAL_TRANSPOSED,
+    Strategy.GENERAL_WINOGRAD: Strategy.GENERAL_WINOGRAD_TRANSPOSED,
+}
+_TABLE.update({mirror: _mirrored(_TABLE[s]) for s, mirror in MIRRORS.items()})
 
 #: Preference order for breaking predicted-count ties: the table's order.
 TIE_ORDER = tuple(_TABLE)
@@ -131,7 +165,7 @@ def predict_count(strategy, l, n, m):
         raise UnsupportedShape(f"no count formula for {strategy}")
     reason = _TABLE[strategy].domain(l, n, m)
     if reason is not None:
-        raise UnsupportedShape(reason)
+        raise UnsupportedShape(f"{strategy.value} {reason}")
     return _TABLE[strategy].count(l, n, m)
 
 

@@ -18,14 +18,19 @@ Multiplication counts:
     mul_odd_n_winograd  core3_times_3xm's count + (n - 3)(lm + l + m)/2
 
 Additions, tallied as each ``+``, ``-`` and unary minus: at 16 x 15 x 16,
-mul_odd_n spends 9851 additions and 62 exact halvings, and
-mul_odd_n_winograd 8949 additions and no halving (the textbook product
-spends 3584 additions).  Both share one body, _lead_plus_remainder, and
-differ only in the remainder kernel they pass it.  In the strategy table
-(ringmul.dispatch._TABLE) mul_odd_n's row comes first and
-mul_odd_n_winograd's last; tie order is table order, so `auto` runs
-mul_odd_n wherever it ties another strategy and mul_odd_n_winograd only
-where it is strictly cheapest.
+mul_odd_n spends 7314 additions and 62 exact halvings, and
+mul_odd_n_winograd 6932 additions and no halving (the textbook product
+spends 3584 additions).  Every addition that involves B alone is done
+once per B (b_only_sums, and the per-pair factors in core3_times_3xm),
+so the lead block at 16 x 3 x 16 spends 84 additions on B plus 98 per
+row.  Both kernels share one body, _lead_plus_remainder, and differ
+only in the remainder kernel they pass it.  In the strategy table
+(ringmul.dispatch._TABLE) tie order is table order: naive comes first,
+so `auto` runs mul_odd_n only where it is strictly cheaper than the
+textbook product, and mul_odd_n_winograd only where it is strictly
+cheapest.  The table also runs both on the mirrored product BᵀAᵀ
+(strategies general-transposed and general-winograd-transposed) where
+that shape is strictly cheaper.
 
 The core block runs the 3-column schedule, 3 products of entries of B
 alone (b_only_products) plus 6 per row (row_step), which is all of the
@@ -77,24 +82,38 @@ def b_only_products(b1, b2, b3):
     return b1[1] * b2[0], b1[2] * b3[0], b2[2] * b3[1]
 
 
-def row_step(a1, a2, a3, b1, b2, b3, q, out):
-    """Row (a1, a2, a3) times the first three columns of B in exactly 6
-    multiplications, given q = b_only_products(b1, b2, b3).
+def b_only_sums(b1, b2, b3, q):
+    """The additions of row_step that involve B alone, done once per B.
 
-    Appends the row's first three output entries to the list out and
-    returns the three row-level products that wider columns reuse.
+    Given q = b_only_products(b1, b2, b3), returns the diagonal
+    differences (b11-b12-b13, b22-b21-b23, b33-b31-b32) and the sums
+    (q12+q13, q12+q23, q13+q23) that the three outputs subtract.
     """
     q12, q13, q23 = q
+    return (
+        (b1[0] - b1[1] - b1[2], b2[1] - b2[0] - b2[2], b3[2] - b3[0] - b3[1]),
+        (q12 + q13, q12 + q23, q13 + q23),
+    )
+
+
+def row_step(a1, a2, a3, b1, b2, b3, q, out):
+    """Row (a1, a2, a3) times the first three columns of B in exactly 6
+    multiplications, given q = b_only_sums(b1, b2, b3, ...).
+
+    Appends the row's first three output entries to the list out and
+    returns the row-level values that wider columns reuse: rp1, rp1+rp2
+    and rp2+rp3.
+    """
+    (d1, d2, d3), (q1, q2, q3) = q
     rp1 = (a1 + b2[0]) * (a2 + b1[1])  # (a_i1+b21)(a_i2+b12)
     rp2 = (a1 + b3[0]) * (a3 + b1[2])  # (a_i1+b31)(a_i3+b13)
     rp3 = (a2 + b3[1]) * (a3 + b2[2])  # (a_i2+b32)(a_i3+b23)
-    p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
-    p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
-    p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
-    out.append(rp1 + rp2 + p4 - q12 - q13)
-    out.append(rp1 + rp3 + p5 - q12 - q23)
-    out.append(rp2 + rp3 + p6 - q13 - q23)
-    return rp1, rp2, rp3
+    rp12 = rp1 + rp2
+    rp23 = rp2 + rp3
+    out.append(rp12 + a1 * (d1 - a2 - a3) - q1)
+    out.append(rp1 + rp3 + a2 * (d2 - a1 - a3) - q2)
+    out.append(rp23 + a3 * (d3 - a1 - a2) - q3)
+    return rp1, rp12, rp23
 
 
 class SharedBProducts(NamedTuple):
@@ -129,8 +148,9 @@ def row_times_3x3(a, B, shared):
     if a.shape != (1, 3):
         raise ShapeError(f"row must be 1x3, got {a.rows}x{a.cols}")
     _check_b(B)
+    b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
     c = []
-    row_step(*a.row_list(0), B.row_list(0), B.row_list(1), B.row_list(2), shared, c)
+    row_step(*a.row_list(0), b1, b2, b3, b_only_sums(b1, b2, b3, shared), c)
     return Matrix(a.ring, 1, 3, c)
 
 
@@ -152,40 +172,43 @@ def core3_times_3xm(A1, B1):
     l = A1.rows
     b1, b2, b3 = B1.row_list(0), B1.row_list(1), B1.row_list(2)
 
-    # B-only products, computed once and reused by every row.
+    # Everything that involves B alone is computed once and reused by
+    # every row: the three B-only products, row_step's sums, and per
+    # column pair the factors beta, gamma of its row products
+    # (a + beta)(gamma - a'), whose B-only part v is beta*gamma.
     q = b_only_products(b1, b2, b3)
-    q12, q13, q23 = q
+    q12 = q[0]
+    sums = b_only_sums(b1, b2, b3, q)
+    q1, _, q3 = sums[1]
 
     m_even = m % 2 == 0
     if m_even:
-        v4 = (b2[0] - b2[3]) * (-b1[1] + b1[3])  # (b21-b24)(-b12+b14)
+        beta4, gamma4 = b2[0] - b2[3], b1[3] - b1[1]  # b21-b24, b14-b12
+        k4 = q12 + beta4 * gamma4
 
     sched = ColumnPairSchedule.for_width(m)
     pair_b = []
     for j, j1 in sched.pairs:
         J, J1 = j - 1, j1 - 1
-        v1 = (b2[0] - b2[J]) * (-b1[1] + b1[J] - b1[J1])
-        v2 = (b3[0] - b3[J]) * (-b1[2] + b1[J1])
-        v3 = (b3[1] + b3[J] - b3[J1]) * (-b2[2] + b2[J1])
-        pair_b.append((v1, v2, v3))
+        be1, ga1 = b2[0] - b2[J], b1[J] - b1[1] - b1[J1]
+        be2, ga2 = b3[0] - b3[J], b1[J1] - b1[2]
+        be3, ga3 = b3[1] + b3[J] - b3[J1], b2[J1] - b2[2]
+        v2 = be2 * ga2
+        pair_b.append((be1, ga1, be2, ga2, be3, ga3, q1 + be1 * ga1 + v2, q3 + v2 + be3 * ga3))
 
     out = []
     for i in range(l):
         a1, a2, a3 = A1.row_list(i)
-        # Row-level products shared across every output column of row i;
+        # Row-level values shared across every output column of row i;
         # the row's entries are appended to out column by column.
-        rp1, rp2, rp3 = row_step(a1, a2, a3, b1, b2, b3, q, out)
+        rp1, rp12, rp23 = row_step(a1, a2, a3, b1, b2, b3, sums, out)
         if m_even:
-            w = (a1 + b2[0] - b2[3]) * (-a2 - b1[1] + b1[3])
-            out.append(rp1 + w + a3 * b3[3] - q12 - v4)
+            out.append(rp1 + (a1 + beta4) * (gamma4 - a2) + a3 * b3[3] - k4)
 
-        for (j, j1), (v1, v2, v3) in zip(sched.pairs, pair_b):
-            J, J1 = j - 1, j1 - 1
-            u1 = (a1 + b2[0] - b2[J]) * (-a2 - b1[1] + b1[J] - b1[J1])
-            u2 = (a1 + b3[0] - b3[J]) * (-a3 - b1[2] + b1[J1])
-            u3 = (a2 + b3[1] + b3[J] - b3[J1]) * (-a3 - b2[2] + b2[J1])
-            out.append(rp1 + rp2 + u1 + u2 - q12 - q13 - v1 - v2)
-            out.append(rp2 + rp3 + u2 + u3 - q13 - q23 - v2 - v3)
+        for be1, ga1, be2, ga2, be3, ga3, k1, k2 in pair_b:
+            u2 = (a1 + be2) * (ga2 - a3)
+            out.append(rp12 + (a1 + be1) * (ga1 - a2) + u2 - k1)
+            out.append(rp23 + u2 + (a2 + be3) * (ga3 - a3) - k2)
 
     return Matrix(A1.ring, l, m, out)
 

@@ -79,6 +79,14 @@ class Matrix:
             data.extend(self.data[base + j0 : base + j1])
         return Matrix(self.ring, self.rows, j1 - j0, data)
 
+    def transpose(self):
+        """The cols x rows transpose, built by slicing: no ring operation."""
+        c = self.cols
+        data = []
+        for j in range(c):
+            data.extend(self.data[j::c])
+        return Matrix(self.ring, c, self.rows, data)
+
     def map_entries(self, f, ring=None):
         return Matrix(ring or self.ring, self.rows, self.cols, [f(v) for v in self.data])
 

@@ -279,13 +279,21 @@ def test_winograd_even_addition_count(l, n, m):
     assert _op_tally(winograd_even, l, n, m) == (n * (l * m + l + m) // 2, adds, 0)
 
 
+@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7)])
+def test_waksman_even_addition_count(l, n, m):
+    # 6h per sign split, 3h + 1 per remaining entry, and u_j - t_1 once per column
+    h = n // 2
+    adds = 6 * h * (l + m - 1) + (l - 1) * (m - 1) * (3 * h + 1) + (m - 1) * (l > 1)
+    assert _op_tally(waksman_even, l, n, m) == (n * (l * m + l + m - 1) // 2, adds, 2 * (l + m - 1))
+
+
 @pytest.mark.parametrize(
     "kernel,shape,tally",
     [
-        (waksman_even, (16, 12, 16), (1722, 5926, 62)),
-        (waksman_even, (3, 4, 5), (44, 162, 14)),
-        (mul_odd_n, (16, 15, 16), (2160, 9851, 62)),
-        (mul_odd_n_winograd, (16, 15, 16), (2166, 8949, 0)),
+        (waksman_even, (16, 12, 16), (1722, 5406, 62)),
+        (waksman_even, (3, 4, 5), (44, 144, 14)),
+        (mul_odd_n, (16, 15, 16), (2160, 7314, 62)),
+        (mul_odd_n_winograd, (16, 15, 16), (2166, 6932, 0)),
     ],
     ids=["waksman_even-16x12x16", "waksman_even-3x4x5", "general-16x15x16", "general-winograd-16x15x16"],
 )

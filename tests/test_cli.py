@@ -136,6 +136,32 @@ def test_mul_strategy_shape_conflict_exit_3(tmp_path, capsys):
     assert "core3" in stderr
 
 
+def test_mul_refusal_names_the_mirrored_row(tmp_path, capsys):
+    a = _write(tmp_path / "a.txt", "3 3\n1 2 3\n4 5 6\n7 8 9\n")
+    b = _write(tmp_path / "b.txt", "3 2\n1 2\n3 4\n5 6\n")
+    code, _, stderr = _run(capsys, ["mul", "--a", a, "--b", b, "--strategy", "general"])
+    assert code == 3
+    assert "general needs m >= 3, got 2; general-transposed covers it" in stderr
+    # the mirrored row names the caller's dimension, and has no mirror to suggest
+    c = _write(tmp_path / "c.txt", "2 3\n1 2 3\n4 5 6\n")
+    code, _, stderr = _run(capsys, ["mul", "--a", c, "--b", a, "--strategy", "general-transposed"])
+    assert code == 3
+    assert "general-transposed needs l >= 3, got 2" in stderr
+    assert "covers it" not in stderr
+
+
+def test_mul_auto_runs_the_mirrored_row_where_it_is_cheaper(tmp_path, capsys):
+    a = _write(tmp_path / "a.txt", "3 3\n1 2 3\n4 5 6\n7 8 9\n")
+    b = _write(tmp_path / "b.txt", "3 2\n1 2\n3 4\n5 6\n")
+    code, stdout, _ = _run(capsys, ["mul", "--a", a, "--b", b, "--report"])
+    assert code == 0
+    product_line, report_line = stdout.strip().splitlines()
+    assert json.loads(product_line)["data"] == [22, 28, 49, 64, 76, 100]
+    report = json.loads(report_line)
+    assert report["strategy"] == "general-transposed"
+    assert report["predicted"] == report["observed"] == 15
+
+
 def test_mul_capability_conflict_exit_3(tmp_path, capsys):
     a = _write(tmp_path / "a.json", {"rows": 2, "cols": 4, "modulus": 6, "data": [1, 2, 3, 4, 5, 0, 1, 2]})
     b = _write(tmp_path / "b.json", {"rows": 4, "cols": 2, "modulus": 6, "data": [1, 2, 3, 4, 5, 0, 1, 2]})
@@ -406,7 +432,9 @@ def test_verify_symbolic_proves_every_table_row(capsys, monkeypatch, strategy):
         return Matrix(C.ring, C.rows, C.cols, [C.data[0] + A.data[0] * B.data[0]] + C.data[1:])
 
     monkeypatch.setitem(dispatch._TABLE, strategy, dispatch._TABLE[strategy]._replace(kernel=mutant))
-    code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "1,3,3"])
+    # the mirrored rows need l >= 3, so the 1,3,3 grid holds none of their shapes
+    bounds = "3,3,1" if strategy in dispatch.MIRRORS.values() else "1,3,3"
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", bounds])
     assert code == 1
     failing = json.loads(stdout)["suites"]["symbolic"]["failures"]
     assert failing and {f["strategy"] for f in failing} == {strategy.value}
@@ -423,10 +451,21 @@ def test_verify_symbolic_walks_the_counts_grid_under_the_cap(capsys, bounds):
     assert checks["symbolic"] == checks["counts"]
 
 
+def test_verify_default_bounds_prove_every_row_on_417_checks(capsys):
+    code, stdout, _ = _run(capsys, ["verify"])
+    assert code == 0
+    suites = json.loads(stdout)["suites"]
+    assert {name: (s["checks"], s["ok"]) for name, s in suites.items()} == {
+        "counts": (417, True),
+        "random": (417, True),
+        "symbolic": (417, True),
+    }
+
+
 def test_verify_symbolic_grid_is_clipped_above_the_cap(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "16,16,16"])
     assert code == 0
-    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 600
+    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 684
 
 
 def test_verify_symbolic_covers_each_bound_independently(capsys, monkeypatch):
@@ -497,7 +536,14 @@ def test_bench_modular_times_the_multiply_path(capsys, monkeypatch):
     argv = ["bench", "--shape", "3,5,4", "--ring", "mod:101", "--reps", "2", "--format", "json"]
     code, stdout, _ = _run(capsys, argv)
     assert code == 0
-    assert {row["strategy"] for row in json.loads(stdout)} == {"general", "general-winograd", "waksman-odd", "naive"}
+    assert {row["strategy"] for row in json.loads(stdout)} == {
+        "general",
+        "general-winograd",
+        "waksman-odd",
+        "naive",
+        "general-transposed",
+        "general-winograd-transposed",
+    }
 
 
 def test_bench_unsupported_explicit_strategy_exit_2(capsys):

@@ -55,6 +55,11 @@ CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
         (Strategy.GENERAL_WINOGRAD, (4, 7, 5), 100),
         (Strategy.GENERAL_WINOGRAD, (8, 9, 8), 362),
         (Strategy.GENERAL_WINOGRAD, (16, 15, 16), 2166),
+        (Strategy.GENERAL_TRANSPOSED, (16, 15, 2), 368),  # general at (2, 15, 16)
+        (Strategy.GENERAL_TRANSPOSED, (3, 3, 2), 15),
+        (Strategy.GENERAL_TRANSPOSED, (4, 5, 3), 46),  # general at (3, 5, 4)
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (16, 15, 2), 374),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 7, 4), 100),  # general-winograd at (4, 7, 5)
     ],
 )
 def test_predict_count_values(strategy, shape, expected):
@@ -76,6 +81,10 @@ def test_predict_count_values(strategy, shape, expected):
         (Strategy.NAIVE, (0, 1, 1)),
         (Strategy.GENERAL_WINOGRAD, (2, 4, 4)),
         (Strategy.GENERAL_WINOGRAD, (2, 5, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (2, 5, 4)),
+        (Strategy.GENERAL_TRANSPOSED, (4, 4, 2)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (2, 5, 4)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 1, 4)),
     ],
 )
 def test_predict_count_domain(strategy, shape):
@@ -118,6 +127,12 @@ def test_predict_count_always_integral():
         ((8, 9, 8), False, Strategy.GENERAL_WINOGRAD),  # 362 against 576
         ((2, 5, 1), True, Strategy.NAIVE),  # ties waksman-odd at 10, with 8 additions against 30
         ((1, 5, 2), True, Strategy.NAIVE),  # ties waksman-odd at 10
+        ((1, 15, 16), True, Strategy.NAIVE),  # ties general at 240, with no halving
+        ((1, 4, 5), True, Strategy.NAIVE),  # ties waksman-even at 20
+        ((16, 15, 2), True, Strategy.GENERAL_TRANSPOSED),  # 368 against waksman-odd's 375
+        ((16, 15, 2), False, Strategy.GENERAL_WINOGRAD_TRANSPOSED),  # 374 against naive's 480
+        ((3, 3, 2), True, Strategy.GENERAL_TRANSPOSED),  # 15 against 16
+        ((3, 3, 2), False, Strategy.GENERAL_TRANSPOSED),  # n = 3 never halves
     ],
 )
 def test_choose_strategy_rules(shape, halving, expected):
@@ -138,6 +153,7 @@ def test_choose_strategy_is_never_beaten():
                             s is Strategy.WAKSMAN_EVEN
                             or (s is Strategy.WAKSMAN_ODD and n > 1)
                             or (s is Strategy.GENERAL_ODD and n > 3)
+                            or (s is Strategy.GENERAL_TRANSPOSED and n > 3)
                         )
                         if needs_halving and not halving:
                             continue
@@ -155,6 +171,52 @@ def test_choose_strategy_is_never_beaten():
                         # among equally cheap strategies the fixed order wins
                         cheapest = [s for s in TIE_ORDER if applicable.get(s) == best]
                         assert chosen is cheapest[0]
+
+
+def _best_count(l, n, m, halving, strategies):
+    return min(predict_count(s, l, n, m) for s in strategies if applicable(s, l, n, m, halving))
+
+
+UNMIRRORED = [s for s in CONCRETE if s not in dispatch.MIRRORS.values()]
+
+
+@pytest.mark.parametrize("halving,shapes,saved", [(True, 588, 2156), (False, 588, 5194)])
+def test_orientation_never_costs_and_saves_exactly(halving, shapes, saved):
+    # auto's count is symmetric in l and m, and is the cheaper of the
+    # unmirrored table's counts at (l, n, m) and (m, n, l)
+    cheaper, total = 0, 0
+    for l, n, m in itertools.product(range(1, 17), repeat=3):
+        count = predict_count(choose_strategy(l, n, m, halving), l, n, m)
+        mirrored = choose_strategy(m, n, l, halving)
+        assert count == predict_count(mirrored, m, n, l), (l, n, m)
+        unmirrored = _best_count(l, n, m, halving, UNMIRRORED)
+        assert count == min(unmirrored, _best_count(m, n, l, halving, UNMIRRORED)), (l, n, m)
+        if count < unmirrored:
+            cheaper += 1
+            total += unmirrored - count
+    assert (cheaper, total) == (shapes, saved)
+
+
+@pytest.mark.parametrize(
+    "shape,halving,expected,count",
+    [
+        ((16, 15, 2), True, Strategy.GENERAL_TRANSPOSED, 368),
+        ((16, 15, 2), False, Strategy.GENERAL_WINOGRAD_TRANSPOSED, 374),
+        ((3, 3, 2), True, Strategy.GENERAL_TRANSPOSED, 15),
+        ((16, 15, 16), True, Strategy.GENERAL_ODD, 2160),  # ties its mirror; table order decides
+    ],
+)
+def test_multiply_runs_the_mirrored_row_where_cheaper(shape, halving, expected, count):
+    l, n, m = shape
+    ring = ZZ if halving else ModularRing(2**64)
+    rng = random.Random(25)
+    with mock.patch.dict(dispatch._AUDITED, clear=True):
+        for _ in range(2):  # audited, then warm
+            A, B = _random_pair(ring, l, n, m, rng)
+            product, report = multiply(A, B)
+            assert product == naive(A, B)
+            assert report.strategy is expected
+            assert report.observed == report.predicted == count
 
 
 def _raised(kernel, A, B):
@@ -326,8 +388,9 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
     A, B = _random_pair(ZZ, 3, 5, 4, rng)
     product, report = multiply(A, B)
     assert product == naive(A, B)
-    assert report.strategy is Strategy.GENERAL_ODD
-    assert report.observed == report.predicted == 46
+    # general costs 46 here; the mirrored row runs general at (4, 5, 3)
+    assert report.strategy is Strategy.GENERAL_TRANSPOSED
+    assert report.observed == report.predicted == 45
 
 
 def test_replaced_kernel_is_audited_afresh(monkeypatch):
@@ -404,6 +467,7 @@ _ODD = st.integers(0, 3).map(lambda k: 2 * k + 1)
 _EVEN = st.integers(1, 3).map(lambda k: 2 * k)
 
 _GENERAL = st.tuples(_DIM, st.integers(1, 3).map(lambda k: 2 * k + 1), st.integers(3, 6))
+_GENERAL_MIRRORED = _GENERAL.map(lambda s: s[::-1])
 
 #: Shapes drawn inside each concrete strategy's domain.
 SHAPES = {
@@ -414,6 +478,8 @@ SHAPES = {
     Strategy.CORE3: st.tuples(_DIM, st.just(3), st.just(3)),
     Strategy.GENERAL_ODD: _GENERAL,
     Strategy.GENERAL_WINOGRAD: _GENERAL,
+    Strategy.GENERAL_TRANSPOSED: _GENERAL_MIRRORED,
+    Strategy.GENERAL_WINOGRAD_TRANSPOSED: _GENERAL_MIRRORED,
 }
 RINGS = [ZZ, ModularRing(2**61 - 1)]
 

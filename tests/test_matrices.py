@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringmul import Matrix, ModularRing, ShapeError, ZZ, mat_add, matrix_from_ints, random_matrix
 
@@ -87,3 +89,33 @@ def test_random_matrix_shape_and_determinism():
     b = random_matrix(ZZ, 3, 4, random.Random(11))
     assert a.shape == (3, 4)
     assert a == b
+
+
+_MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.integers(-99, 99), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda data: Matrix(ZZ, shape[0], shape[1], data)
+    )
+)
+
+
+@given(_MATRICES)
+def test_transpose_is_an_involution(M):
+    assert M.transpose().transpose() == M
+
+
+@given(_MATRICES)
+def test_transpose_swaps_shape_and_entries(M):
+    T = M.transpose()
+    assert T.shape == (M.cols, M.rows)
+    assert T.ring is M.ring
+    for i in range(M.rows):
+        for j in range(M.cols):
+            assert T[j, i] == M[i, j]
+
+
+def test_transpose_performs_no_ring_operation():
+    # entries with no operators at all: the transpose only moves them
+    entries = [object() for _ in range(6)]
+    T = Matrix(ZZ, 2, 3, entries).transpose()
+    assert T.shape == (3, 2)
+    assert [id(v) for v in T.data] == [id(entries[k]) for k in (0, 3, 1, 4, 2, 5)]

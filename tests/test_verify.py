@@ -38,6 +38,9 @@ from ringmul import (
         (Strategy.WAKSMAN_ODD, (3, 3, 3)),
         (Strategy.WAKSMAN_ODD, (2, 5, 3)),
         (Strategy.NAIVE, (2, 3, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
     ],
 )
 def test_symbolic_identities_hold(strategy, shape):
@@ -311,6 +314,8 @@ def test_count_audit_mismatch_raises():
         (Strategy.WINOGRAD_EVEN, (2, 6, 2)),
         (Strategy.WAKSMAN_ODD, (2, 5, 2)),
         (Strategy.NAIVE, (2, 3, 4)),
+        (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
     ],
 )
 def test_no_multiplications_by_constants(strategy, shape):
