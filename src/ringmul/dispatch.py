@@ -1,5 +1,6 @@
 """Strategy selection, closed-form count prediction, and the front-door
-multiply that counts each (kernel, shape) once and then runs bare."""
+multiply that runs every product bare and counts each (kernel, shape)
+once, on zeros."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from typing import Callable, NamedTuple
 
 from . import baseline, general
 from .errors import ShapeError, UnsupportedShape
-from .rings import CountedRing
+from .matrices import Matrix
+from .rings import CountedRing, _Representatives
 
 
 class Strategy(Enum):
@@ -28,9 +30,10 @@ class Strategy(Enum):
 class CostReport(NamedTuple):
     """Observed multiplication tally next to the formula prediction.
 
-    observed is the tally of a counted run of this kernel at this shape:
-    the first run in the process, which later runs of the same kernel and
-    shape repeat without counting (see multiply).
+    observed is the tally of this kernel at this shape, measured once per
+    process by running it on zero matrices of that shape with counting
+    elements; no product passes through the counting elements (see
+    multiply).
     """
 
     strategy: Strategy
@@ -195,8 +198,8 @@ def choose_strategy(l, n, m, supports_halving=True):
 
 
 #: Audited multiplication tallies keyed by (table row's kernel, l, n, m).
-#: Each key is written once, after a counted run of that kernel succeeds;
-#: two threads missing together only repeat the audit.
+#: Each key is written once, after a counted replay of that kernel on
+#: zeros succeeds; two threads missing together only repeat the replay.
 _AUDITED = {}
 #: The table is cleared when it reaches this many keys.
 _AUDITED_MAX = 1024
@@ -205,16 +208,17 @@ _AUDITED_MAX = 1024
 def multiply(A, B, strategy=Strategy.AUTO):
     """Multiply two matrices with a chosen (or auto-selected) strategy.
 
-    Returns (product, CostReport).  Every kernel is a straight-line program
-    over the element operators, so its multiplication count depends on
-    the shape alone.  The first product of a given kernel and shape runs
-    over an instrumented view of the input ring and records its tally;
-    later products of that kernel and shape run bare and report the
-    recorded tally as observed.  A kernel replaced in its table row is
-    a new key and is counted afresh.  Both runs go through the ring's
-    `run` hook: over a ModularRing the kernel runs on the entries'
-    integer values and each output entry is reduced once, so no residue
-    operator runs; the count is the same, since the program is.
+    Returns (product, CostReport).  Every product comes from the bare
+    kernel through the ring's `run` hook: over a ModularRing the kernel
+    runs on the entries' integer values and each output entry is reduced
+    once, so no residue operator runs.  Every kernel is a straight-line
+    program over the element operators, so its multiplication count
+    depends on the shape alone.  The first time a kernel meets a shape,
+    it is replayed once on integer zeros of that shape over a CountedRing
+    that carries the input ring's name and halving capability, so the
+    replay refuses what the product would; its tally is recorded and
+    reported as observed by every product of that kernel and shape.  A
+    kernel replaced in its table row is a new key and is counted afresh.
 
     Every schedule but naive relies on commuting entries, so over a ring
     whose `commutative` is False AUTO resolves to NAIVE and any other
@@ -235,19 +239,12 @@ def multiply(A, B, strategy=Strategy.AUTO):
     kernel = kernel_for(strategy)
     key = (_TABLE[strategy].kernel, l, n, m)
     observed = _AUDITED.get(key)
-    if observed is not None:
-        product = A.ring.run(kernel, A, B)
-    else:
-        ctx = None
-
-        def counted(A, B):
-            nonlocal ctx
-            ctx = CountedRing(A.ring)
-            return ctx.unwrap(kernel(ctx.lift(A), ctx.lift(B)))
-
-        product = A.ring.run(counted, A, B)
+    if observed is None:
+        integers = _Representatives(A.ring)
+        ctx = CountedRing(integers)
+        kernel(ctx.lift(Matrix.zeros(integers, l, n)), ctx.lift(Matrix.zeros(integers, n, m)))
         observed = ctx.tally.count
         if len(_AUDITED) >= _AUDITED_MAX:
             _AUDITED.clear()
         _AUDITED[key] = observed
-    return product, CostReport(strategy, l, n, m, predicted, observed)
+    return A.ring.run(kernel, A, B), CostReport(strategy, l, n, m, predicted, observed)

@@ -393,6 +393,31 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
     assert report.observed == report.predicted == 45
 
 
+@pytest.mark.parametrize("ring", [ZZ, ModularRing(2**61 - 1), ModularRing(2**64)], ids=["int", "mod_p61", "mod_2^64"])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (16, 15, 2), (16, 15, 16)])
+def test_cold_multiply_counts_on_zeros_and_runs_the_bare_kernel(monkeypatch, ring, shape):
+    # the first product of a (kernel, shape) comes from the bare kernel;
+    # the counting elements only ever see zeros
+    lifted = []
+    lift = CountedRing.lift
+
+    def recording_lift(self, matrix):
+        lifted.extend(matrix.data)
+        return lift(self, matrix)
+
+    def refuse(self, matrix):
+        raise AssertionError("CountedRing.unwrap on the multiply path")
+
+    monkeypatch.setattr(CountedRing, "lift", recording_lift)
+    monkeypatch.setattr(CountedRing, "unwrap", refuse)
+    monkeypatch.setattr(dispatch, "_AUDITED", {})
+    A, B = _random_pair(ring, *shape, random.Random(26))
+    product, report = multiply(A, B)
+    assert product == naive(A, B)
+    assert report.observed == report.predicted
+    assert lifted and all(type(e) is int and e == 0 for e in lifted)
+
+
 def test_replaced_kernel_is_audited_afresh(monkeypatch):
     A = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
     assert multiply(A, A, Strategy.NAIVE)[1].observed == 8

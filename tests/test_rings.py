@@ -155,6 +155,16 @@ def test_mod_mixed_moduli_rejected_both_orders():
                     op(Mod(1, m1), Mod(1, m2))
 
 
+def test_mod_refuses_plain_int_operands():
+    # a plain int is not a residue of any particular modulus, so no
+    # operator guesses one: NotImplemented on both sides gives TypeError
+    x = Mod(1, 5)
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: x * 2):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == 1) is False
+
+
 def test_axioms_hold_for_integers():
     assert ring_axiom_check(IntegerRing(), samples=100, seed=1).ok
 
