@@ -146,43 +146,36 @@ def waksman_even(A, B):
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
     arows = [(a[0::2], a[1::2]) for a in A.to_rows()]
     b_even, b_odd = _paired_columns(B)
-    l, m = A.rows, B.cols
+    first, *others = zip(b_odd, b_even)
 
-    c = [[None] * m for _ in range(l)]
-    t = [None] * l
-    for i in range(l):
-        c[i][0], t[i] = _sign_split(*arows[i], b_odd[0], b_even[0])
-
-    u_col = [None] * m
-    for j in range(1, m):
-        c[0][j], u_col[j] = _sign_split(*arows[0], b_odd[j], b_even[j])
-
-    # u_j - t_1, indexed like u_col, is shared by every row below the first
-    w = [None] + [u - t[0] for u in u_col[1:]] if l > 1 else ()
-    for i in range(1, l):
-        ae, ao = arows[i]
-        ti = t[i]
-        for j in range(1, m):
-            c[i][j] = _paired(ae, ao, b_odd[j], b_even[j]) - ti - w[j]
-
-    return Matrix(A.ring, l, m, [v for row in c for v in row])
+    # row 1: c_{1j} and u_j = r_1 + s_j, with t_1 from column 1
+    ae, ao = arows[0]
+    c, t1 = _sign_split(ae, ao, *first)
+    row1 = [_sign_split(ae, ao, bo, be) for bo, be in others]
+    out = [c] + [c1j for c1j, _ in row1]
+    if A.rows > 1:
+        # u_j - t_1 is shared by every row below the first
+        w = [u - t1 for _, u in row1]
+        for ae, ao in arows[1:]:
+            c, ti = _sign_split(ae, ao, *first)
+            out.append(c)
+            out += [_paired(ae, ao, bo, be) - ti - wj for (bo, be), wj in zip(others, w)]
+    return Matrix(A.ring, A.rows, B.cols, out)
 
 
 def waksman_odd(A, B):
     """Odd inner dimension: even-part schedule plus a rank-one update.
 
     Splits n = (n-1) + 1, runs waksman_even on the even part and adds
-    the outer product of A's last column with B's last row (l*m naive
-    multiplications), for (n-1)(lm+l+m-1)/2 + lm in total.
+    naive's product of A's last column with B's last row (l*m
+    multiplications), for (n-1)(lm+l+m-1)/2 + lm in total; n = 1 is
+    naive alone.
     """
     _check_inner(A, B)
     n = A.cols
     if n % 2 == 0:
         raise UnsupportedShape(f"inner dimension {n} must be odd")
-    l, m = A.rows, B.cols
-    last_a = [A[i, n - 1] for i in range(l)]
-    last_b = B.row_list(n - 1)
-    rank1 = Matrix(A.ring, l, m, [last_a[i] * last_b[j] for i in range(l) for j in range(m)])
     if n == 1:
-        return rank1
+        return naive(A, B)
+    rank1 = naive(A.slice_cols(n - 1, n), B.slice_rows(n - 1, n))
     return waksman_even(A.slice_cols(0, n - 1), B.slice_rows(0, n - 1)) + rank1

@@ -140,13 +140,22 @@ def _encode_entry(v):
 
 
 def _matrix_json(matrix, modulus=None):
+    obj = {"rows": matrix.rows, "cols": matrix.cols}
     if modulus is None:
-        data = [_encode_entry(v) for v in matrix.data]
-        obj = {"rows": matrix.rows, "cols": matrix.cols, "data": data}
+        obj["data"] = [_encode_entry(v) for v in matrix.data]
     else:
-        data = [_encode_entry(v.value) for v in matrix.data]
-        obj = {"rows": matrix.rows, "cols": matrix.cols, "modulus": modulus, "data": data}
+        obj["modulus"] = modulus
+        obj["data"] = [_encode_entry(v.value) for v in matrix.data]
     return json.dumps(obj)
+
+
+def _print_rows(rows, columns, fmt):
+    if fmt == "json":
+        print(json.dumps(rows))
+    else:
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(row[c]) for c in columns))
 
 
 def _fail(code, message):
@@ -261,13 +270,7 @@ def table_rows(lmax, nmax, mmax):
 def cmd_table(args):
     if args.lmax < 1 or args.nmax < 1 or args.mmax < 1:
         return _fail(2, "table bounds must be >= 1")
-    rows = table_rows(args.lmax, args.nmax, args.mmax)
-    if args.format == "json":
-        print(json.dumps(rows))
-    else:
-        print(",".join(_TABLE_COLUMNS))
-        for row in rows:
-            print(",".join(str(row[c]) for c in _TABLE_COLUMNS))
+    _print_rows(table_rows(args.lmax, args.nmax, args.mmax), _TABLE_COLUMNS, args.format)
     return 0
 
 
@@ -442,13 +445,7 @@ def cmd_bench(args):
                 "spread_s": max(times) - min(times),
             }
         )
-    columns = ("strategy", "l", "n", "m", "reps", "median_s", "spread_s")
-    if args.format == "json":
-        print(json.dumps(rows))
-    else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(row[c]) for c in columns))
+    _print_rows(rows, ("strategy", "l", "n", "m", "reps", "median_s", "spread_s"), args.format)
     return 0
 
 

@@ -9,9 +9,9 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import baseline, general
-from .errors import ShapeError, UnsupportedShape
+from .errors import UnsupportedShape
 from .matrices import Matrix
-from .rings import CountedRing, _Representatives
+from .rings import ZZ, CountedRing
 
 
 class Strategy(Enum):
@@ -199,7 +199,7 @@ def choose_strategy(l, n, m, supports_halving=True):
 
 #: Audited multiplication tallies keyed by (table row's kernel, l, n, m).
 #: Each key is written once, after a counted replay of that kernel on
-#: zeros succeeds; two threads missing together only repeat the replay.
+#: zeros; two threads missing together only repeat the replay.
 _AUDITED = {}
 #: The table is cleared when it reaches this many keys.
 _AUDITED_MAX = 1024
@@ -213,19 +213,19 @@ def multiply(A, B, strategy=Strategy.AUTO):
     runs on the entries' integer values and each output entry is reduced
     once, so no residue operator runs.  Every kernel is a straight-line
     program over the element operators, so its multiplication count
-    depends on the shape alone.  The first time a kernel meets a shape,
-    it is replayed once on integer zeros of that shape over a CountedRing
-    that carries the input ring's name and halving capability, so the
-    replay refuses what the product would; its tally is recorded and
-    reported as observed by every product of that kernel and shape.  A
-    kernel replaced in its table row is a new key and is counted afresh.
+    depends on the shape alone, not on the ring.  The first time a kernel
+    meets a shape, it is replayed once on zeros of that shape over
+    CountedRing(ZZ); the replay only counts, and its tally is recorded
+    and reported as observed by every product of that kernel and shape.
+    Refusals, such as a halving schedule over an even modulus, come from
+    the product run and name the caller's ring.  A kernel replaced in
+    its table row is a new key and is counted afresh.
 
     Every schedule but naive relies on commuting entries, so over a ring
     whose `commutative` is False AUTO resolves to NAIVE and any other
     strategy raises ValueError.
     """
-    if A.cols != B.rows:
-        raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
+    baseline._check_inner(A, B)
     if A.ring.name != B.ring.name:
         raise ValueError(f"operands over different rings: {A.ring.name} vs {B.ring.name}")
     l, n, m = A.rows, A.cols, B.cols
@@ -240,9 +240,8 @@ def multiply(A, B, strategy=Strategy.AUTO):
     key = (_TABLE[strategy].kernel, l, n, m)
     observed = _AUDITED.get(key)
     if observed is None:
-        integers = _Representatives(A.ring)
-        ctx = CountedRing(integers)
-        kernel(ctx.lift(Matrix.zeros(integers, l, n)), ctx.lift(Matrix.zeros(integers, n, m)))
+        ctx = CountedRing(ZZ)
+        kernel(ctx.lift(Matrix.zeros(ZZ, l, n)), ctx.lift(Matrix.zeros(ZZ, n, m)))
         observed = ctx.tally.count
         if len(_AUDITED) >= _AUDITED_MAX:
             _AUDITED.clear()

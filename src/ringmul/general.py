@@ -159,17 +159,16 @@ def core3_times_3xm(A1, B1):
 
     Exactly 3(lm+l+m-1)/2 multiplications for odd m and
     2(l-1) + 3(lm+m)/2 for even m; the count does not depend on the
-    entry values.
+    entry values.  m < 3 raises UnsupportedShape (from
+    ColumnPairSchedule.for_width), and factors that do not meet in 3
+    columns raise ShapeError; the odd-n kernels rely on both checks.
     """
+    sched = ColumnPairSchedule.for_width(B1.cols)
+    baseline._check_inner(A1, B1)
     if A1.cols != 3:
-        raise ShapeError(f"left factor must have 3 columns, got {A1.cols}")
-    if B1.rows != 3:
-        raise ShapeError(f"right factor must have 3 rows, got {B1.rows}")
-    m = B1.cols
-    if m < 3:
-        raise UnsupportedShape(f"right factor width {m} must be >= 3")
+        raise ShapeError(f"factors must meet in 3 columns, got {A1.cols}")
 
-    l = A1.rows
+    l, m = A1.rows, B1.cols
     b1, b2, b3 = B1.row_list(0), B1.row_list(1), B1.row_list(2)
 
     # Everything that involves B alone is computed once and reused by
@@ -186,7 +185,6 @@ def core3_times_3xm(A1, B1):
         beta4, gamma4 = b2[0] - b2[3], b1[3] - b1[1]  # b21-b24, b14-b12
         k4 = q12 + beta4 * gamma4
 
-    sched = ColumnPairSchedule.for_width(m)
     pair_b = []
     for j, j1 in sched.pairs:
         J, J1 = j - 1, j1 - 1
@@ -216,9 +214,8 @@ def core3_times_3xm(A1, B1):
 def mul_n3_33(A, B):
     """n x 3 times 3 x 3 in exactly 6n + 3 multiplications: core3_times_3xm
     at m = 3."""
-    if A.cols != 3:
-        raise ShapeError(f"A must have 3 columns, got {A.cols}")
-    _check_b(B)
+    if B.cols != 3:
+        raise ShapeError(f"B must have 3 columns, got {B.cols}")
     return core3_times_3xm(A, B)
 
 
@@ -234,16 +231,13 @@ def _lead_plus_remainder(A, B, remainder):
     """A1*B1 by core3_times_3xm plus remainder(A2, B2) for the even rest.
 
     The checks, the split and the n = 3 early return shared by the odd-n
-    kernels, which differ only in the remainder's schedule.
+    kernels, which differ only in the remainder's schedule.  m < 3 is
+    refused by the lead block, before any remainder runs.
     """
-    if A.cols != B.rows:
-        raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
+    baseline._check_inner(A, B)
     n = A.cols
-    m = B.cols
     if n % 2 == 0 or n < 3:
         raise UnsupportedShape(f"inner dimension {n} must be odd and >= 3")
-    if m < 3:
-        raise UnsupportedShape(f"output width {m} must be >= 3")
     lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
     if n == 3:
         return lead

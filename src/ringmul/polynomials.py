@@ -30,29 +30,24 @@ class SparsePolynomial:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
+        """self + sign*other, storing no zero coefficient."""
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+            s = terms.get(e, 0) + sign * c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
         return SparsePolynomial(self.ring, terms)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     def __sub__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) - c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return SparsePolynomial(self.ring, terms)
+        return self._merge(other, -1)
 
     def __neg__(self):
         return SparsePolynomial(self.ring, {e: -c for e, c in self.terms.items()})

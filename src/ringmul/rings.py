@@ -178,9 +178,8 @@ class Mod:
 class _Representatives(IntegerRing):
     """Plain integers under another ring's name and halving capability,
     so that a kernel run on them accepts and refuses exactly what it does
-    over that ring: the values of a residue ring's elements
-    (ModularRing.run), and the zeros `dispatch.multiply` counts a kernel
-    on."""
+    over that ring: ModularRing.run's stand-in for a residue ring's
+    elements."""
 
     def __init__(self, ring):
         super().__init__()

@@ -294,8 +294,17 @@ def test_waksman_even_addition_count(l, n, m):
         (waksman_even, (3, 4, 5), (44, 144, 14)),
         (mul_odd_n, (16, 15, 16), (2160, 7314, 62)),
         (mul_odd_n_winograd, (16, 15, 16), (2166, 6932, 0)),
+        (waksman_odd, (3, 5, 4), (48, 129, 12)),
+        (waksman_odd, (16, 15, 2), (375, 1077, 34)),
     ],
-    ids=["waksman_even-16x12x16", "waksman_even-3x4x5", "general-16x15x16", "general-winograd-16x15x16"],
+    ids=[
+        "waksman_even-16x12x16",
+        "waksman_even-3x4x5",
+        "general-16x15x16",
+        "general-winograd-16x15x16",
+        "waksman_odd-3x5x4",
+        "waksman_odd-16x15x2",
+    ],
 )
 def test_operation_tallies_are_pinned(kernel, shape, tally):
     # muls, adds and halvings of one product; the schedules are

@@ -168,6 +168,8 @@ def test_mul_capability_conflict_exit_3(tmp_path, capsys):
     code, _, stderr = _run(capsys, ["mul", "--a", a, "--b", b, "--strategy", "waksman-even"])
     assert code == 3
     assert "halving" in stderr or "capability" in stderr
+    assert "mod6" in stderr
+    assert "counted(" not in stderr
 
 
 def test_mul_modular_roundtrip(tmp_path, capsys):
