@@ -19,14 +19,26 @@ Exact halvings: waksman_even performs 2*(l + m - 1), one per sign-split
 sum, whatever n is; waksman_odd inherits that count from its even part
 (none when n = 1).  naive and winograd_even perform none.
 
-Each inner product is one left fold over B's column slices taken once
-per call (`B.data[j::m]`, or split by row parity for the paired
-schemes).  A plain product is ``reduce(add, map(mul, ...))``.  The
-paired sums (_paired, _sign_split) are plain loops over zip: at the
-inner lengths used here CPython 3.11 runs those about 15% faster than
-the equivalent map pipelines, which call an operator function per
-element.  Additions per product, as exact tallies of ``+``, ``-`` and
-unary minus:
+Each inner product is one left fold, and each fold of a given kind and
+length runs as one generated straight-line function (_fold): the
+textbook sum of products ("dot", which also gives winograd_even's row
+and column self-products r and s), Winograd's paired sum ("paired") and
+Waksman's two sign variants ("sign_split").  At small entries a ``+`` or
+``*`` costs about one interpreter step, so a loop's own work per term
+(an iterator step, a tuple unpack, a jump) costs about as much as the
+arithmetic.  The generated code does only the arithmetic: the loop's
+operations, each sum folded in the same left-to-right order, so every
+value and every tally is the loop's.  The source is built from the kind
+and length alone, compiled on first use (never at import) and cached in
+_FOLDS.  A fold longer than FOLD_CAP terms runs a head block of
+1..FOLD_CAP terms and then blocks of exactly FOLD_CAP that carry the
+running sum, over rows and columns cut into blocks once per kernel
+call.  The cap bounds both the code and its first-use cost: a
+FOLD_CAP-term fold compiles in under a millisecond, where one
+spelled out to a thousand terms would take tens of milliseconds and
+megabytes.
+
+Additions per product, as exact tallies of ``+``, ``-`` and unary minus:
 
     naive          l*m*(n - 1)
     winograd_even  (l + m)(h - 1) + l*m*(3h + 1),  h = n/2
@@ -34,9 +46,6 @@ unary minus:
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import add, mul
 
 from .errors import ExactHalveUnavailable, ShapeError, UnsupportedShape
 from .matrices import Matrix
@@ -48,32 +57,95 @@ def _check_inner(A, B):
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
 
 
+#: The longest fold, in terms, that one generated function spells out.
+#: Longer folds run in blocks, so generated code stays bounded whatever n.
+FOLD_CAP = 32
+
+#: Per fold kind: the entries of a row and of a column that one term
+#: reads, and the term of each sum the fold returns, with {0} and {1}
+#: standing for the term's first and second entry.
+_KINDS = {
+    "dot": (1, ("a{0} * b{0}",)),
+    "paired": (2, ("(a{0} + b{1}) * (a{1} + b{0})",)),
+    "sign_split": (2, ("(a{0} + b{1}) * (a{1} + b{0})", "(a{0} - b{1}) * (a{1} - b{0})")),
+}
+
+#: Compiled folds keyed by (kind, terms <= FOLD_CAP, carries a running sum).
+_FOLDS = {}
+
+
+def _straight(kind, terms, carry):
+    """The generated fold of `terms` terms; with carry, it takes the
+    running sum(s) of the blocks before it as a first argument.  For
+    example ("paired", 2, False) compiles
+
+        def fold(a, b):
+            a0, a1, a2, a3, = a
+            b0, b1, b2, b3, = b
+            return (a0 + b1) * (a1 + b0) + (a2 + b3) * (a3 + b2)
+    """
+    key = (kind, terms, carry)
+    fold = _FOLDS.get(key)
+    if fold is None:
+        width, sums = _KINDS[kind]
+        acc = [f"acc{j}" for j in range(len(sums))] if carry else []
+        exprs = (
+            " + ".join(acc[j : j + 1] + [t.format(k, k + 1) for k in range(0, width * terms, width)])
+            for j, t in enumerate(sums)
+        )
+        lines = [
+            "def fold(acc, a, b):" if carry else "def fold(a, b):",
+            *([", ".join(acc) + " = acc"] if carry else []),
+            "".join(f"a{i}, " for i in range(width * terms)) + "= a",
+            "".join(f"b{i}, " for i in range(width * terms)) + "= b",
+            "return " + ", ".join(exprs),
+        ]
+        namespace = {}
+        exec(compile("\n    ".join(lines), f"<{kind} fold of {terms}>", "exec"), namespace)
+        fold = _FOLDS[key] = namespace["fold"]
+    return fold
+
+
+def _same(seq):
+    return seq
+
+
+def _fold(kind, terms):
+    """(fold, split) for a left fold of `terms` terms of `kind`.
+
+    fold(split(a), split(b)) folds a row a against a column b; call split
+    once per row and column.  Up to FOLD_CAP terms split returns its
+    argument.  Beyond it, split cuts a head block of 1..FOLD_CAP terms and
+    then blocks of FOLD_CAP, and fold carries the sum from block to block.
+    """
+    if terms <= FOLD_CAP:
+        return _straight(kind, terms, False), _same
+    width = _KINDS[kind][0]
+    lead = terms - (terms - 1) // FOLD_CAP * FOLD_CAP
+    head, tail = _straight(kind, lead, False), _straight(kind, FOLD_CAP, True)
+    start, step = width * lead, width * FOLD_CAP
+
+    def split(seq):
+        return [seq[:start]] + [seq[i : i + step] for i in range(start, len(seq), step)]
+
+    def fold(a, b):
+        blocks = zip(a, b)
+        acc = head(*next(blocks))
+        for x, y in blocks:
+            acc = tail(acc, x, y)
+        return acc
+
+    return fold, split
+
+
 def naive(A, B):
     """Textbook product; exactly rows*inner*cols multiplications."""
     _check_inner(A, B)
     m = B.cols
-    cols = [B.data[j::m] for j in range(m)]
-    out = [reduce(add, map(mul, a, col)) for a in A.to_rows() for col in cols]
+    dot, split = _fold("dot", A.cols)
+    cols = [split(B.data[j::m]) for j in range(m)]
+    out = [dot(a, b) for a in map(split, A.to_rows()) for b in cols]
     return Matrix(A.ring, A.rows, m, out)
-
-
-def _paired_columns(B):
-    """B's columns split by 0-based row parity: the list of each column's
-    entries in rows 0, 2, 4, ... and the list of those in rows 1, 3, 5, ..."""
-    m = B.cols
-    data = B.data
-    return [data[j::2 * m] for j in range(m)], [data[m + j::2 * m] for j in range(m)]
-
-
-def _paired(a_even, a_odd, b_odd, b_even):
-    """sum_k (a_{2k-1} + b_{2k})(a_{2k} + b_{2k-1}) in 1-based names, for a
-    row and a column each split by 0-based parity; a left fold over k."""
-    terms = zip(a_even, a_odd, b_odd, b_even)
-    x, y, u, v = next(terms)
-    total = (x + u) * (y + v)
-    for x, y, u, v in terms:
-        total = total + (x + u) * (y + v)
-    return total
 
 
 def winograd_even(A, B):
@@ -87,35 +159,29 @@ def winograd_even(A, B):
     n = A.cols
     if n % 2:
         raise UnsupportedShape(f"inner dimension {n} must be even")
-    arows = [(a[0::2], a[1::2]) for a in A.to_rows()]
-    b_even, b_odd = _paired_columns(B)
+    dot, split_dot = _fold("dot", n // 2)
+    paired, split = _fold("paired", n // 2)
+    m = B.cols
+    rows = A.to_rows()
+    cols = [B.data[j::m] for j in range(m)]
 
-    r = [reduce(add, map(mul, ae, ao)) for ae, ao in arows]
-    s = [reduce(add, map(mul, be, bo)) for be, bo in zip(b_even, b_odd)]
-    out = [
-        _paired(ae, ao, bo, be) - ri - sj
-        for (ae, ao), ri in zip(arows, r)
-        for bo, be, sj in zip(b_odd, b_even, s)
-    ]
-    return Matrix(A.ring, A.rows, B.cols, out)
+    r = [dot(split_dot(a[0::2]), split_dot(a[1::2])) for a in rows]
+    s = [dot(split_dot(b[0::2]), split_dot(b[1::2])) for b in cols]
+    cols = [split(b) for b in cols]
+    out = [paired(a, b) - ri - sj for a, ri in zip(map(split, rows), r) for b, sj in zip(cols, s)]
+    return Matrix(A.ring, A.rows, m, out)
 
 
-def _sign_split(a_even, a_odd, b_odd, b_even):
+def _sign_split(fold, a, b):
     """Both sign variants of a row against a column, halved once per sum.
 
     With P(+/-) = (a_{2k-1} +/- b_{2k,j})(a_{2k} +/- b_{2k-1,j}), returns
-    ((sum_k P+ - sum_k P-)/2, (sum_k P+ + sum_k P-)/2) = (c, r + s).
-    Each P+ - P- and P+ + P- is twice a ring element, so each total is
-    too, and one exact halving per total suffices on any 2-torsion-free
-    ring.  Each variant is one left fold over k.
+    ((sum_k P+ - sum_k P-)/2, (sum_k P+ + sum_k P-)/2) = (c, r + s), where
+    fold is the "sign_split" fold that returns both sums.  Each P+ - P-
+    and P+ + P- is twice a ring element, so each total is too, and one
+    exact halving per total suffices on any 2-torsion-free ring.
     """
-    terms = zip(a_even, a_odd, b_odd, b_even)
-    x, y, u, v = next(terms)
-    plus = (x + u) * (y + v)
-    minus = (x - u) * (y - v)
-    for x, y, u, v in terms:
-        plus = plus + (x + u) * (y + v)
-        minus = minus + (x - u) * (y - v)
+    plus, minus = fold(a, b)
     return halve_exact(plus - minus), halve_exact(plus + minus)
 
 
@@ -144,23 +210,25 @@ def waksman_even(A, B):
         raise UnsupportedShape(f"inner dimension {n} must be even")
     if not A.ring.supports_halving:
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
-    arows = [(a[0::2], a[1::2]) for a in A.to_rows()]
-    b_even, b_odd = _paired_columns(B)
-    first, *others = zip(b_odd, b_even)
+    paired, split = _fold("paired", n // 2)
+    both, _ = _fold("sign_split", n // 2)  # its split is paired's: same width and length
+    m = B.cols
+    rows = [split(a) for a in A.to_rows()]
+    first, *others = [split(B.data[j::m]) for j in range(m)]
 
     # row 1: c_{1j} and u_j = r_1 + s_j, with t_1 from column 1
-    ae, ao = arows[0]
-    c, t1 = _sign_split(ae, ao, *first)
-    row1 = [_sign_split(ae, ao, bo, be) for bo, be in others]
+    a = rows[0]
+    c, t1 = _sign_split(both, a, first)
+    row1 = [_sign_split(both, a, b) for b in others]
     out = [c] + [c1j for c1j, _ in row1]
     if A.rows > 1:
         # u_j - t_1 is shared by every row below the first
         w = [u - t1 for _, u in row1]
-        for ae, ao in arows[1:]:
-            c, ti = _sign_split(ae, ao, *first)
+        for a in rows[1:]:
+            c, ti = _sign_split(both, a, first)
             out.append(c)
-            out += [_paired(ae, ao, bo, be) - ti - wj for (bo, be), wj in zip(others, w)]
-    return Matrix(A.ring, A.rows, B.cols, out)
+            out += [paired(a, b) - ti - wj for b, wj in zip(others, w)]
+    return Matrix(A.ring, A.rows, m, out)
 
 
 def waksman_odd(A, B):

@@ -429,11 +429,14 @@ def cmd_bench(args):
     for s in strategies:
         kernel = kernel_for(s)
         times = []
-        for _ in range(args.reps):
+        # one call more than --reps: the first pays one-off costs, such as
+        # generating inner-product code, and is reported on its own
+        for _ in range(args.reps + 1):
             # through the ring's hook, as multiply runs it
             t0 = time.perf_counter()
             ring.run(kernel, A, B)
             times.append(time.perf_counter() - t0)
+        first, *times = times
         rows.append(
             {
                 "strategy": s.value,
@@ -441,11 +444,12 @@ def cmd_bench(args):
                 "n": n,
                 "m": m,
                 "reps": args.reps,
+                "first_s": first,
                 "median_s": statistics.median(times),
                 "spread_s": max(times) - min(times),
             }
         )
-    _print_rows(rows, ("strategy", "l", "n", "m", "reps", "median_s", "spread_s"), args.format)
+    _print_rows(rows, ("strategy", "l", "n", "m", "reps", "first_s", "median_s", "spread_s"), args.format)
     return 0
 
 

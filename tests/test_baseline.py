@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ringmul import baseline
 from ringmul import (
     CountedRing,
     ExactHalveUnavailable,
@@ -15,6 +18,7 @@ from ringmul import (
     ZZ,
     halve_exact,
     matrix_from_ints,
+    multiply,
     mul_odd_n,
     mul_odd_n_winograd,
     naive,
@@ -267,19 +271,26 @@ def _op_tally(kernel, l, n, m, seed=0):
     return tally.muls, tally.adds, tally.halvings
 
 
-@pytest.mark.parametrize("l,n,m", [(1, 1, 1), (3, 4, 5), (16, 15, 16), (16, 12, 16)])
+#: An inner dimension whose folds cross a block seam: 2 * FOLD_CAP + 2
+#: terms for naive, FOLD_CAP + 1 term pairs for the paired schemes.
+SEAM_N = 2 * baseline.FOLD_CAP + 2
+
+
+@pytest.mark.parametrize(
+    "l,n,m", [(1, 1, 1), (4, 1, 3), (16, 1, 2), (2, 1, 15), (3, 4, 5), (16, 15, 16), (16, 12, 16), (2, SEAM_N, 3)]
+)
 def test_naive_spends_lm_n_minus_1_additions(l, n, m):
     assert _op_tally(naive, l, n, m) == (l * n * m, l * m * (n - 1), 0)
 
 
-@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (3, 4, 5), (16, 12, 16), (2, 8, 7)])
+@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (3, 4, 5), (16, 12, 16), (2, 8, 7), (2, SEAM_N, 3)])
 def test_winograd_even_addition_count(l, n, m):
     h = n // 2
     adds = (l + m) * (h - 1) + l * m * (3 * h + 1)
     assert _op_tally(winograd_even, l, n, m) == (n * (l * m + l + m) // 2, adds, 0)
 
 
-@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7)])
+@pytest.mark.parametrize("l,n,m", [(1, 2, 1), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7), (2, SEAM_N, 3)])
 def test_waksman_even_addition_count(l, n, m):
     # 6h per sign split, 3h + 1 per remaining entry, and u_j - t_1 once per column
     h = n // 2
@@ -310,3 +321,77 @@ def test_operation_tallies_are_pinned(kernel, shape, tally):
     # muls, adds and halvings of one product; the schedules are
     # straight-line programs, so these depend on the shape alone
     assert _op_tally(kernel, *shape) == tally
+
+
+def _reference_fold(kind, a, b):
+    """The loop each generated fold replaces: one left fold per sum, term
+    by term; a sign split also halves its difference and its sum."""
+    if kind == "dot":
+        total = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            total = total + x * y
+        return total
+    x, y, u, v = a[0::2], a[1::2], b[1::2], b[0::2]
+    plus = (x[0] + u[0]) * (y[0] + v[0])
+    for k in range(1, len(x)):
+        plus = plus + (x[k] + u[k]) * (y[k] + v[k])
+    if kind == "paired":
+        return plus
+    minus = (x[0] - u[0]) * (y[0] - v[0])
+    for k in range(1, len(x)):
+        minus = minus + (x[k] - u[k]) * (y[k] - v[k])
+    return halve_exact(plus - minus), halve_exact(plus + minus)
+
+
+def _generated_fold(kind, a, b):
+    terms = len(a) // baseline._KINDS[kind][0]
+    fold, split = baseline._fold(kind, terms)
+    if kind == "sign_split":
+        return baseline._sign_split(fold, split(a), split(b))
+    return fold(split(a), split(b))
+
+
+def _plain(value):
+    return tuple(map(_plain, value)) if isinstance(value, tuple) else value.v
+
+
+#: The longest fold the property test runs, in terms: two full blocks
+#: and a three-term head.
+LONGEST_FOLD = 2 * baseline.FOLD_CAP + 3
+#: Entries of one side of that fold, two per term for the paired kinds.
+_FOLD_ENTRIES = st.lists(st.integers(-(2**70), 2**70), min_size=2 * LONGEST_FOLD, max_size=2 * LONGEST_FOLD)
+
+
+@pytest.mark.parametrize("kind", ["dot", "paired", "sign_split"])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.large_base_example])
+@given(left=_FOLD_ENTRIES, right=_FOLD_ENTRIES)
+def test_generated_folds_match_the_left_fold(kind, left, right):
+    # every length up to two blocks and a short head past the cap, over
+    # ints and over the counting element: same value, same tally
+    width = baseline._KINDS[kind][0]
+    for terms in range(1, LONGEST_FOLD + 1):
+        a, b = left[: width * terms], right[: width * terms]
+        assert _generated_fold(kind, a, b) == _reference_fold(kind, a, b)
+        tallies, values = [], []
+        for fold in (_generated_fold, _reference_fold):
+            ring = _OpTally(ZZ)
+            lifted = [[_Tallied(ring, v) for v in side] for side in (a, b)]
+            values.append(_plain(fold(kind, *lifted)))
+            tallies.append((ring.muls, ring.adds, ring.halvings))
+        assert values[0] == values[1]
+        assert tallies[0] == tallies[1], (kind, terms)
+
+
+def test_generated_code_stays_bounded_on_long_folds():
+    baseline._FOLDS.clear()
+    rng = random.Random(13)
+    for l, n, m in [(1, 4097, 1), (2, 4096, 3)]:
+        A = random_matrix(ZZ, l, n, rng)
+        B = random_matrix(ZZ, n, m, rng)
+        product, _ = multiply(A, B)
+        assert product.to_rows() == _reference_rows(A.to_rows(), B.to_rows())
+    assert any(terms == baseline.FOLD_CAP and carry for _, terms, carry in baseline._FOLDS)
+    for (kind, terms, carry), fold in baseline._FOLDS.items():
+        # two unpacked entries per term and side at most, plus the sums carried in
+        assert terms <= baseline.FOLD_CAP
+        assert fold.__code__.co_nlocals <= 4 * baseline.FOLD_CAP + 5

@@ -515,7 +515,7 @@ def test_bench_csv_includes_applicable_strategies(capsys):
     code, stdout, _ = _run(capsys, ["bench", "--shape", "3,3,3", "--ring", "int:64", "--reps", "2"])
     assert code == 0
     lines = stdout.strip().splitlines()
-    assert lines[0] == "strategy,l,n,m,reps,median_s,spread_s"
+    assert lines[0] == "strategy,l,n,m,reps,first_s,median_s,spread_s"
     names = {line.split(",")[0] for line in lines[1:]}
     assert {"general", "waksman-odd", "naive", "core3"} <= names
 
@@ -546,6 +546,24 @@ def test_bench_modular_times_the_multiply_path(capsys, monkeypatch):
         "general-transposed",
         "general-winograd-transposed",
     }
+
+
+def test_bench_reports_the_first_call_apart(capsys, monkeypatch):
+    # one call beyond --reps, timed as first_s and left out of the median
+    calls = []
+    run = IntegerRing.run
+
+    def counted_run(self, program, A, B):
+        calls.append(program)
+        return run(self, program, A, B)
+
+    monkeypatch.setattr(IntegerRing, "run", counted_run)
+    argv = ["bench", "--shape", "2,40,3", "--strategy", "naive", "--reps", "3", "--format", "json"]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    (row,) = json.loads(stdout)
+    assert len(calls) == 4 and row["reps"] == 3
+    assert row["first_s"] > 0 and row["median_s"] > 0 and row["spread_s"] >= 0
 
 
 def test_bench_unsupported_explicit_strategy_exit_2(capsys):

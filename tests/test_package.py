@@ -27,8 +27,9 @@ def run_fresh(code):
         "from ringmul import *\nimport ringmul\n"
         "missing = [n for n in ringmul.__all__ if n not in globals()]\nassert not missing, missing",
         "import ringmul\nassert not hasattr(ringmul, 'no_such_name')",
+        "import ringmul.cli\nassert not ringmul.baseline._FOLDS, 'fold compiled at import'",
     ],
-    ids=["no-eager-verify", "verify-name", "polynomials-submodule", "star-import", "unknown-name"],
+    ids=["no-eager-verify", "verify-name", "polynomials-submodule", "star-import", "unknown-name", "no-folds-at-import"],
 )
 def test_lazy_package_names(code):
     proc = run_fresh(code)
