@@ -397,6 +397,7 @@ def _bench_ring(spec):
     raise _InputError(f"bad ring spec {spec!r} (use int:BITS or mod:P)")
 
 
+@_int_digits_unlimited()
 def cmd_bench(args):
     import random
     import statistics

@@ -238,9 +238,9 @@ def _lead_plus_remainder(A, B, remainder):
     n = A.cols
     if n % 2 == 0 or n < 3:
         raise UnsupportedShape(f"inner dimension {n} must be odd and >= 3")
-    lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
     if n == 3:
-        return lead
+        return core3_times_3xm(A, B)
+    lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
     return mat_add(lead, remainder(A.slice_cols(3, n), B.slice_rows(3, n)))
 
 

@@ -21,9 +21,9 @@ def halve_exact(x):
 
     Exact halving exists on 2-torsion-free rings (integers, odd moduli,
     integer polynomials).  It is division by a fixed unit, not a general
-    ring multiplication, and is never tallied.  It costs no multiply in
-    practice either: ``x // 2`` on integers, a shift on residues of an
-    odd modulus.
+    ring multiplication, and is never counted as one (Counted tallies it
+    apart, under halvings).  It costs no multiply in practice either:
+    ``x // 2`` on integers, a shift on residues of an odd modulus.
 
     Raises NotEvenlyDivisible when x is not of the form y + y, and
     ExactHalveUnavailable when the element's ring has no halving at all.
@@ -105,10 +105,14 @@ class Mod:
     """Residue in Z/mZ, always stored reduced: 0 <= value < modulus.
 
     ``Mod(v, m)`` reduces any int v with ``%``, and every operator builds
-    its result that way, except that a product reduces with the mask
-    ``& (m - 1)`` when m is a power of two; halving at an odd modulus is a
-    shift.  An operand that is not a Mod gives NotImplemented, so mixing
-    a residue with a plain int raises TypeError.
+    its result that way.  CPython's ``%`` returns early when v is below m
+    in magnitude and divides in full otherwise, so a sum is first brought
+    below m by one conditional subtract of m, and a product by the mask
+    ``& (m - 1)`` when m is a power of two.  A negation is built as m - v,
+    which skips the sign fix-up of a negative v; a difference of reduced
+    values already lies within m.  Halving at an odd modulus is a shift.
+    An operand that is not a Mod gives NotImplemented, so mixing a
+    residue with a plain int raises TypeError.
 
     `dispatch.multiply` does not use these operators: it runs its
     kernels on the integer values and reduces once per output entry
@@ -132,7 +136,10 @@ class Mod:
 
     def __add__(self, other):
         v = self._operand(other)
-        return NotImplemented if v is None else Mod(self.value + v, self.modulus)
+        if v is None:
+            return NotImplemented
+        v += self.value
+        return Mod(v - self.modulus if v >= self.modulus else v, self.modulus)
 
     def __sub__(self, other):
         v = self._operand(other)
@@ -148,7 +155,7 @@ class Mod:
         return Mod(p & (m - 1) if m & (m - 1) == 0 else p, m)
 
     def __neg__(self):
-        return Mod(-self.value, self.modulus)
+        return Mod(self.modulus - self.value, self.modulus)
 
     def __eq__(self, other):
         return (
@@ -344,23 +351,25 @@ class Mat2Ring(Ring):
 
 
 class MulTally:
-    """Count of general ring multiplications executed in one computation.
+    """Operations executed in one computation: count, the general ring
+    multiplications that the cost model prices, and apart from them adds
+    (each ``+``, ``-`` and unary minus) and exact halvings.
 
     Owned by a single CountedRing context; never shared between
     concurrent computations.
     """
 
-    __slots__ = ("count",)
+    __slots__ = ("count", "adds", "halvings")
 
     def __init__(self):
-        self.count = 0
+        self.count = self.adds = self.halvings = 0
 
     def __repr__(self):
-        return f"MulTally({self.count})"
+        return f"MulTally({self.count}, adds={self.adds}, halvings={self.halvings})"
 
 
 class Counted:
-    """Element wrapper billing every ``*`` to its context's tally.
+    """Element wrapper billing each operation to its context's tally.
 
     taint is True once a value depends on some input matrix entry.
     Constants injected by an algorithm (zero, one, from_int) stay
@@ -378,11 +387,13 @@ class Counted:
     def __add__(self, other):
         if not isinstance(other, Counted):
             return NotImplemented
+        self.ctx.tally.adds += 1
         return Counted(self.ctx, self.value + other.value, self.taint or other.taint)
 
     def __sub__(self, other):
         if not isinstance(other, Counted):
             return NotImplemented
+        self.ctx.tally.adds += 1
         return Counted(self.ctx, self.value - other.value, self.taint or other.taint)
 
     def __mul__(self, other):
@@ -395,6 +406,7 @@ class Counted:
         return Counted(ctx, self.value * other.value, self.taint or other.taint)
 
     def __neg__(self):
+        self.ctx.tally.adds += 1
         return Counted(self.ctx, -self.value, self.taint)
 
     def __eq__(self, other):
@@ -403,7 +415,8 @@ class Counted:
     __hash__ = None
 
     def halve(self):
-        # Exact halving is free in the cost model: no tally bump.
+        # Tallied apart: exact halving is free in the cost model's count.
+        self.ctx.tally.halvings += 1
         return Counted(self.ctx, halve_exact(self.value), self.taint)
 
     def __repr__(self):

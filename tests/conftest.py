@@ -1,6 +1,6 @@
 import pytest
 
-from ringmul import IntMat2, Mat2Ring, Matrix
+from ringmul import ZZ, CountedRing, IntMat2, Mat2Ring, Matrix, matrix_from_ints
 
 # Frozen regression fixture: 3x3 matrices over 2x2 integer matrices on
 # which the 21-multiplication schedule disagrees with the textbook
@@ -25,3 +25,11 @@ def mat2_matrix(ring, rows):
 def frozen_noncommutative_pair():
     ring = Mat2Ring()
     return mat2_matrix(ring, WITNESS_A), mat2_matrix(ring, WITNESS_B)
+
+
+def run_counted(kernel, a_rows, b_rows):
+    """kernel over CountedRing(ZZ) on integer rows: (product over ZZ, MulTally)."""
+    ctx = CountedRing(ZZ)
+    A = ctx.lift(matrix_from_ints(ZZ, a_rows))
+    B = ctx.lift(matrix_from_ints(ZZ, b_rows))
+    return ctx.unwrap(kernel(A, B)), ctx.tally

@@ -1,21 +1,23 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ringmul import baseline
+from ringmul import baseline, general
 from ringmul import (
+    Counted,
     CountedRing,
     ExactHalveUnavailable,
     IntegerRing,
     Matrix,
     ModularRing,
     PolynomialRing,
-    Ring,
     ShapeError,
     UnsupportedShape,
     ZZ,
+    core3_times_3xm,
     halve_exact,
     matrix_from_ints,
     multiply,
@@ -28,6 +30,8 @@ from ringmul import (
     winograd_even,
 )
 
+from conftest import run_counted
+
 
 def _reference_rows(a_rows, b_rows):
     # hand-rolled textbook product, kept independent of the package code
@@ -36,15 +40,6 @@ def _reference_rows(a_rows, b_rows):
         [sum(a_rows[i][k] * b_rows[k][j] for k in range(n)) for j in range(m)]
         for i in range(l)
     ]
-
-
-def _counted(kernel, a_rows, b_rows):
-    """Run a kernel over instrumented integers; returns (rows, tally)."""
-    ctx = CountedRing(IntegerRing())
-    A = ctx.lift(matrix_from_ints(ZZ, a_rows))
-    B = ctx.lift(matrix_from_ints(ZZ, b_rows))
-    out = ctx.unwrap(kernel(A, B))
-    return out.to_rows(), ctx.tally.count
 
 
 def test_naive_matches_reference():
@@ -61,14 +56,14 @@ def test_naive_identity():
 
 
 def test_naive_tally_lnm():
-    _, tally = _counted(naive, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
-    assert tally == 8
+    _, tally = run_counted(naive, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
+    assert tally.count == 8
 
 
 def test_naive_row_example():
     # hand expansion of (1,2,3) against the 1..9 square
-    rows, _ = _counted(naive, [[1, 2, 3]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert rows == [[30, 36, 42]]
+    out, _ = run_counted(naive, [[1, 2, 3]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert out.to_rows() == [[30, 36, 42]]
 
 
 def test_naive_inner_mismatch():
@@ -79,9 +74,9 @@ def test_naive_inner_mismatch():
 def test_winograd_tally_and_value_222():
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [7, 8]]
-    rows, tally = _counted(winograd_even, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 2 * (4 + 2 + 2) // 2 == 8
+    out, tally = run_counted(winograd_even, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 2 * (4 + 2 + 2) // 2 == 8
 
 
 def test_winograd_identity_n2():
@@ -93,9 +88,9 @@ def test_winograd_343():
     rng = random.Random(7)
     a = [[rng.randint(-99, 99) for _ in range(4)] for _ in range(3)]
     b = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(4)]
-    rows, tally = _counted(winograd_even, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 4 * (9 + 3 + 3) // 2 == 30
+    out, tally = run_counted(winograd_even, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 4 * (9 + 3 + 3) // 2 == 30
 
 
 def test_winograd_rejects_odd_inner():
@@ -106,18 +101,18 @@ def test_winograd_rejects_odd_inner():
 def test_waksman_even_tally_222():
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [7, 8]]
-    rows, tally = _counted(waksman_even, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 2 * (4 + 2 + 2 - 1) // 2 == 7
+    out, tally = run_counted(waksman_even, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 2 * (4 + 2 + 2 - 1) // 2 == 7
 
 
 def test_waksman_even_tally_343():
     rng = random.Random(8)
     a = [[rng.randint(-99, 99) for _ in range(4)] for _ in range(3)]
     b = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(4)]
-    rows, tally = _counted(waksman_even, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 4 * (9 + 3 + 3 - 1) // 2 == 28
+    out, tally = run_counted(waksman_even, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 4 * (9 + 3 + 3 - 1) // 2 == 28
 
 
 def test_waksman_even_identity():
@@ -140,48 +135,6 @@ def test_waksman_even_odd_modulus_ok():
     assert waksman_even(A, B) == naive(A, B)
 
 
-class _OpTally(Ring):
-    """Wraps a base ring; its elements count here each ``*``, each
-    ``+``/``-``/unary minus, and each exact halving."""
-
-    supports_halving = True
-
-    def __init__(self, base):
-        self.name = f"tally({base.name})"
-        self.muls = self.adds = self.halvings = 0
-
-    def lift(self, M):
-        return M.map_entries(lambda v: _Tallied(self, v), ring=self)
-
-
-class _Tallied:
-    __slots__ = ("ring", "v")
-
-    def __init__(self, ring, v):
-        self.ring = ring
-        self.v = v
-
-    def __add__(self, o):
-        self.ring.adds += 1
-        return _Tallied(self.ring, self.v + o.v)
-
-    def __sub__(self, o):
-        self.ring.adds += 1
-        return _Tallied(self.ring, self.v - o.v)
-
-    def __mul__(self, o):
-        self.ring.muls += 1
-        return _Tallied(self.ring, self.v * o.v)
-
-    def __neg__(self):
-        self.ring.adds += 1
-        return _Tallied(self.ring, -self.v)
-
-    def halve(self):
-        self.ring.halvings += 1
-        return _Tallied(self.ring, halve_exact(self.v))
-
-
 @pytest.mark.parametrize("l,n,m", [(3, 6, 4), (1, 4, 5), (5, 2, 1)])
 @pytest.mark.parametrize(
     "base",
@@ -192,11 +145,11 @@ def test_waksman_even_halves_each_sum_once(base, l, n, m):
     rng = random.Random(l * 100 + n * 10 + m)
     A = random_matrix(base, l, n, rng)
     B = random_matrix(base, n, m, rng)
-    tally = _OpTally(base)
-    product = waksman_even(tally.lift(A), tally.lift(B))
+    ctx = CountedRing(base)
+    product = waksman_even(ctx.lift(A), ctx.lift(B))
     # one halving per sign-split sum: l for column 1, m - 1 for row 1, two each
-    assert tally.halvings == 2 * (l + m - 1)
-    assert [e.v for e in product.data] == naive(A, B).data
+    assert ctx.tally.halvings == 2 * (l + m - 1)
+    assert ctx.unwrap(product) == naive(A, B)
 
 
 def test_waksman_even_rejects_odd_inner():
@@ -208,24 +161,24 @@ def test_waksman_odd_333():
     rng = random.Random(10)
     a = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(3)]
     b = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(3)]
-    rows, tally = _counted(waksman_odd, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 2 * (9 + 3 + 3 - 1) // 2 + 9 == 23
+    out, tally = run_counted(waksman_odd, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 2 * (9 + 3 + 3 - 1) // 2 + 9 == 23
 
 
 def test_waksman_odd_scalar():
-    rows, tally = _counted(waksman_odd, [[7]], [[6]])
-    assert rows == [[42]]
-    assert tally == 1
+    out, tally = run_counted(waksman_odd, [[7]], [[6]])
+    assert out.to_rows() == [[42]]
+    assert tally.count == 1
 
 
 def test_waksman_odd_353():
     rng = random.Random(11)
     a = [[rng.randint(-99, 99) for _ in range(5)] for _ in range(3)]
     b = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(5)]
-    rows, tally = _counted(waksman_odd, a, b)
-    assert rows == _reference_rows(a, b)
-    assert tally == 4 * (9 + 3 + 3 - 1) // 2 + 9 == 37
+    out, tally = run_counted(waksman_odd, a, b)
+    assert out.to_rows() == _reference_rows(a, b)
+    assert tally.count == 4 * (9 + 3 + 3 - 1) // 2 + 9 == 37
 
 
 def test_waksman_odd_rejects_even_inner():
@@ -256,19 +209,18 @@ def test_waksman_saves_half_n_over_winograd():
         for l, m in [(1, 1), (2, 3), (4, 4)]:
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(l)]
             b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-            _, t_wak = _counted(waksman_even, a, b)
-            _, t_win = _counted(winograd_even, a, b)
-            assert t_win - t_wak == n // 2
+            _, t_wak = run_counted(waksman_even, a, b)
+            _, t_win = run_counted(winograd_even, a, b)
+            assert t_win.count - t_wak.count == n // 2
 
 
 def _op_tally(kernel, l, n, m, seed=0):
     rng = random.Random(seed)
     A = random_matrix(ZZ, l, n, rng)
     B = random_matrix(ZZ, n, m, rng)
-    tally = _OpTally(ZZ)
-    product = kernel(tally.lift(A), tally.lift(B))
-    assert [e.v for e in product.data] == naive(A, B).data
-    return tally.muls, tally.adds, tally.halvings
+    product, tally = run_counted(kernel, A.to_rows(), B.to_rows())
+    assert product == naive(A, B)
+    return tally.count, tally.adds, tally.halvings
 
 
 #: An inner dimension whose folds cross a block seam: 2 * FOLD_CAP + 2
@@ -323,6 +275,26 @@ def test_operation_tallies_are_pinned(kernel, shape, tally):
     assert _op_tally(kernel, *shape) == tally
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_documented_addition_figures_are_counted():
+    # README's tie-order note: where naive ties a schedule on
+    # multiplications, it spends fewer additions and never halves
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    for rival, name, (l, n, m) in [(waksman_odd, "waksman-odd", (2, 5, 1)), (mul_odd_n, "general", (1, 15, 16))]:
+        muls, adds, halvings = _op_tally(naive, l, n, m)
+        rival_muls, rival_adds, rival_halvings = _op_tally(rival, l, n, m)
+        assert (rival_muls, halvings) == (muls, 0)
+        stated = f"{adds} against {rival_adds} additions and {rival_halvings} halvings at {l}×{n}×{m}"
+        assert f"{stated} (against `{name}`, {muls} multiplications each)" in readme
+    # general.py: the lead block at l x 3 x 16 spends 84 additions on B
+    # plus 98 per row, 1652 at l = 16
+    assert "84 additions on B plus 98 per row" in " ".join(general.__doc__.split())
+    for l in (1, 2, 16):
+        assert _op_tally(core3_times_3xm, l, 3, 16)[1:] == (84 + 98 * l, 0)
+
+
 def _reference_fold(kind, a, b):
     """The loop each generated fold replaces: one left fold per sum, term
     by term; a sign split also halves its difference and its sum."""
@@ -351,10 +323,6 @@ def _generated_fold(kind, a, b):
     return fold(split(a), split(b))
 
 
-def _plain(value):
-    return tuple(map(_plain, value)) if isinstance(value, tuple) else value.v
-
-
 #: The longest fold the property test runs, in terms: two full blocks
 #: and a three-term head.
 LONGEST_FOLD = 2 * baseline.FOLD_CAP + 3
@@ -374,10 +342,10 @@ def test_generated_folds_match_the_left_fold(kind, left, right):
         assert _generated_fold(kind, a, b) == _reference_fold(kind, a, b)
         tallies, values = [], []
         for fold in (_generated_fold, _reference_fold):
-            ring = _OpTally(ZZ)
-            lifted = [[_Tallied(ring, v) for v in side] for side in (a, b)]
-            values.append(_plain(fold(kind, *lifted)))
-            tallies.append((ring.muls, ring.adds, ring.halvings))
+            ctx = CountedRing(ZZ)
+            lifted = [[Counted(ctx, v, True) for v in side] for side in (a, b)]
+            values.append(fold(kind, *lifted))
+            tallies.append((ctx.tally.count, ctx.tally.adds, ctx.tally.halvings))
         assert values[0] == values[1]
         assert tallies[0] == tallies[1], (kind, terms)
 

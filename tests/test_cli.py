@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import random
@@ -236,16 +235,9 @@ def test_mul_big_integers_use_decimal_strings(tmp_path, capsys):
     assert entries == [big * big]
 
 
-@contextlib.contextmanager
-def _digits_unlimited():
-    # For the test's own conversions of ints beyond 4300 decimal digits;
-    # the CLI calls run outside it, under the interpreter's default limit.
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+#: For the tests' own conversions of ints beyond 4300 decimal digits; the
+#: CLI calls run outside it, under the interpreter's default limit.
+_digits_unlimited = cli._int_digits_unlimited
 
 
 @pytest.mark.parametrize(
@@ -259,6 +251,7 @@ def _digits_unlimited():
     ids=["int8192-str", "int16384-str", "int16384-bare", "mod16384-bare"],
 )
 def test_mul_huge_entries_round_trip(tmp_path, capsys, bits, encode, modulus):
+    limit = sys.get_int_max_str_digits()
     rng = random.Random(bits)
     a = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(9)]
     b = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(9)]
@@ -272,7 +265,6 @@ def test_mul_huge_entries_round_trip(tmp_path, capsys, bits, encode, modulus):
         fa = _write(tmp_path / "a.json", {"rows": 3, "cols": 3, **extra, "data": [encode(v) for v in a]})
         fb = _write(tmp_path / "b.json", {"rows": 3, "cols": 3, **extra, "data": [encode(v) for v in b]})
         eye = _write(tmp_path / "i.json", {"rows": 3, "cols": 3, **extra, "data": I3["data"]})
-    limit = sys.get_int_max_str_digits()
     out, again = tmp_path / "c.json", tmp_path / "c2.json"
     code, _, stderr = _run(capsys, ["mul", "--a", fa, "--b", fb, "--out", str(out)])
     assert code == 0, stderr
@@ -564,6 +556,15 @@ def test_bench_reports_the_first_call_apart(capsys, monkeypatch):
     (row,) = json.loads(stdout)
     assert len(calls) == 4 and row["reps"] == 3
     assert row["first_s"] > 0 and row["median_s"] > 0 and row["spread_s"] >= 0
+
+
+def test_bench_accepts_a_modulus_beyond_4300_digits(capsys):
+    # bench parses the same ring spec that mul accepts, under the same lifted limit
+    with _digits_unlimited():
+        spec = f"mod:{10**5000 + 1}"
+    code, stdout, stderr = _run(capsys, ["bench", "--shape", "1,3,3", "--ring", spec, "--reps", "1", "--format", "json"])
+    assert code == 0, stderr
+    assert {"naive", "general"} <= {row["strategy"] for row in json.loads(stdout)}
 
 
 def test_bench_unsupported_explicit_strategy_exit_2(capsys):

@@ -20,6 +20,8 @@ from ringmul import (
     symbolic_verify,
 )
 
+from conftest import run_counted
+
 B9 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
 ONES = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
 
@@ -97,23 +99,20 @@ def test_mul_n3_33_tally_is_6n_plus_3():
     rng = random.Random(0)
     for n in range(1, 11):
         a_rows = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(n)]
-        ctx, (A, B) = _counted_ctx(a_rows, B9)
-        got = ctx.unwrap(mul_n3_33(A, B))
-        assert ctx.tally.count == 6 * n + 3
+        got, tally = run_counted(mul_n3_33, a_rows, B9)
+        assert tally.count == 6 * n + 3
         assert got == naive(matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, B9))
 
 
 def test_mul_n3_33_single_row_uses_nine_products():
-    ctx, (A, B) = _counted_ctx([[2, -1, 5]], B9)
-    mul_n3_33(A, B)
-    assert ctx.tally.count == 9
+    _, tally = run_counted(mul_n3_33, [[2, -1, 5]], B9)
+    assert tally.count == 9
 
 
 def test_mul_n3_33_identity_input():
-    ctx, (A, B) = _counted_ctx([[1, 0, 0], [0, 1, 0], [0, 0, 1]], B9)
-    got = ctx.unwrap(mul_n3_33(A, B))
+    got, tally = run_counted(mul_n3_33, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], B9)
     assert got == matrix_from_ints(ZZ, B9)
-    assert ctx.tally.count == 21
+    assert tally.count == 21
 
 
 def test_mul_n3_33_shape_checks():
@@ -125,10 +124,9 @@ def test_mul_n3_33_shape_checks():
 
 def test_mul_33_33_identities():
     I = Matrix.identity(ZZ, 3)
-    ctx, (A, B) = _counted_ctx([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    got = ctx.unwrap(mul_33_33(A, B))
+    got, tally = run_counted(mul_33_33, I.to_rows(), I.to_rows())
     assert got == I
-    assert ctx.tally.count == 21
+    assert tally.count == 21
 
 
 def test_mul_33_33_all_ones():

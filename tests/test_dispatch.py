@@ -125,7 +125,7 @@ def test_predict_count_always_integral():
         ((16, 15, 16), True, Strategy.GENERAL_ODD),
         ((3, 5, 3), False, Strategy.GENERAL_WINOGRAD),  # 36 against 45
         ((8, 9, 8), False, Strategy.GENERAL_WINOGRAD),  # 362 against 576
-        ((2, 5, 1), True, Strategy.NAIVE),  # ties waksman-odd at 10, with 8 additions against 30
+        ((2, 5, 1), True, Strategy.NAIVE),  # ties waksman-odd at 10, with 8 additions against 26
         ((1, 5, 2), True, Strategy.NAIVE),  # ties waksman-odd at 10
         ((1, 15, 16), True, Strategy.NAIVE),  # ties general at 240, with no halving
         ((1, 4, 5), True, Strategy.NAIVE),  # ties waksman-even at 20
@@ -540,7 +540,7 @@ def test_tally_is_data_oblivious(strategy, ring, data):
     def tally(A, B):
         ctx = CountedRing(ring)
         kernel_for(strategy)(ctx.lift(A), ctx.lift(B))
-        return ctx.tally.count
+        return ctx.tally.count, ctx.tally.adds, ctx.tally.halvings
 
     def filled(rows, cols, value):
         return Matrix(ring, rows, cols, [value] * (rows * cols))
@@ -548,7 +548,7 @@ def test_tally_is_data_oblivious(strategy, ring, data):
     random_tally = tally(*_random_pair(ring, l, n, m, rng))
     for value in (ring.zero(), ring.one()):
         assert tally(filled(l, n, value), filled(n, m, value)) == random_tally
-    assert random_tally == predict_count(strategy, l, n, m)
+    assert random_tally[0] == predict_count(strategy, l, n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import ringmul.baseline
 import ringmul.rings
 from ringmul import (
     ColumnPairSchedule,
-    CountedRing,
     ExactHalveUnavailable,
     IntegerRing,
     Matrix,
@@ -27,6 +26,8 @@ from ringmul import (
     random_matrix,
 )
 
+from conftest import run_counted
+
 
 def _core_block_count(l, m):
     if m % 2:
@@ -42,14 +43,6 @@ def _odd_n_count(l, n, m):
 
 def _odd_n_winograd_count(l, n, m):
     return _core_block_count(l, m) + (n - 3) * (l * m + l + m) // 2
-
-
-def _run_counted(kernel, a_rows, b_rows):
-    ctx = CountedRing(IntegerRing())
-    A = ctx.lift(matrix_from_ints(ZZ, a_rows))
-    B = ctx.lift(matrix_from_ints(ZZ, b_rows))
-    out = ctx.unwrap(kernel(A, B))
-    return out, ctx.tally.count
 
 
 def _random_rows(rng, r, c, span=99):
@@ -81,10 +74,10 @@ def test_pair_schedule_rejects_narrow():
 
 def test_core_block_count_examples():
     rng = random.Random(0)
-    out, tally = _run_counted(core3_times_3xm, _random_rows(rng, 1, 3), _random_rows(rng, 3, 3))
-    assert tally == 9 == _core_block_count(1, 3)
-    out, tally = _run_counted(core3_times_3xm, _random_rows(rng, 3, 3), _random_rows(rng, 3, 4))
-    assert tally == 28 == _core_block_count(3, 4)
+    out, tally = run_counted(core3_times_3xm, _random_rows(rng, 1, 3), _random_rows(rng, 3, 3))
+    assert tally.count == 9 == _core_block_count(1, 3)
+    out, tally = run_counted(core3_times_3xm, _random_rows(rng, 3, 3), _random_rows(rng, 3, 4))
+    assert tally.count == 28 == _core_block_count(3, 4)
 
 
 def test_core_block_counts_over_grid():
@@ -93,18 +86,18 @@ def test_core_block_counts_over_grid():
         for m in range(3, 9):
             a = _random_rows(rng, l, 3)
             b = _random_rows(rng, 3, m)
-            out, tally = _run_counted(core3_times_3xm, a, b)
-            assert tally == _core_block_count(l, m)
+            out, tally = run_counted(core3_times_3xm, a, b)
+            assert tally.count == _core_block_count(l, m)
             assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b))
 
 
 def test_core_block_zero_input_annihilates_and_count_unchanged():
     rng = random.Random(2)
     b = _random_rows(rng, 3, 6)
-    zero, tally_zero = _run_counted(core3_times_3xm, [[0, 0, 0]] * 2, b)
+    zero, tally_zero = run_counted(core3_times_3xm, [[0, 0, 0]] * 2, b)
     assert zero == Matrix.zeros(ZZ, 2, 6)
-    _, tally_rand = _run_counted(core3_times_3xm, _random_rows(rng, 2, 3), b)
-    assert tally_zero == tally_rand
+    _, tally_rand = run_counted(core3_times_3xm, _random_rows(rng, 2, 3), b)
+    assert tally_zero.count == tally_rand.count
 
 
 def test_core_block_shape_errors():
@@ -118,12 +111,12 @@ def test_core_block_shape_errors():
 
 def test_mul_odd_n_count_examples():
     rng = random.Random(3)
-    _, tally = _run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 3))
-    assert tally == 21
-    _, tally = _run_counted(mul_odd_n, _random_rows(rng, 2, 5), _random_rows(rng, 5, 3))
-    assert tally == 25 == 5 * (6 + 2 + 3 - 1) // 2
-    _, tally = _run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 4))
-    assert tally == 28 == (3 * (12 + 3 + 4 - 1) + 3 - 1) // 2
+    _, tally = run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 3))
+    assert tally.count == 21
+    _, tally = run_counted(mul_odd_n, _random_rows(rng, 2, 5), _random_rows(rng, 5, 3))
+    assert tally.count == 25 == 5 * (6 + 2 + 3 - 1) // 2
+    _, tally = run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 4))
+    assert tally.count == 28 == (3 * (12 + 3 + 4 - 1) + 3 - 1) // 2
 
 
 def test_mul_odd_n_counts_over_grid():
@@ -133,8 +126,8 @@ def test_mul_odd_n_counts_over_grid():
             for m in range(3, 8):
                 a = _random_rows(rng, l, n)
                 b = _random_rows(rng, n, m)
-                _, tally = _run_counted(mul_odd_n, a, b)
-                assert tally == _odd_n_count(l, n, m), (l, n, m)
+                _, tally = run_counted(mul_odd_n, a, b)
+                assert tally.count == _odd_n_count(l, n, m), (l, n, m)
 
 
 def test_mul_odd_n_matches_naive_everywhere():
@@ -214,8 +207,8 @@ def test_mul_odd_n_winograd_counts_and_values_over_grid():
             for m in range(3, 8):
                 a = _random_rows(rng, l, n)
                 b = _random_rows(rng, n, m)
-                out, tally = _run_counted(mul_odd_n_winograd, a, b)
-                assert tally == _odd_n_winograd_count(l, n, m), (l, n, m)
+                out, tally = run_counted(mul_odd_n_winograd, a, b)
+                assert tally.count == _odd_n_winograd_count(l, n, m), (l, n, m)
                 assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b))
 
 

@@ -134,7 +134,9 @@ def test_mod_ops_at_range_ends(m):
 @given(data=st.data())
 def test_mod_ops_match_reference(m, data):
     x = data.draw(_residues(m), label="x")
-    y = data.draw(_residues(m), label="y")
+    # y may sit at the edges of the sum's and the difference's one
+    # correction by m: x + y of m or m + 1, x - y of -1 or 0
+    y = data.draw(st.sampled_from([m - x, m - x + 1, x + 1, x]).map(lambda v: v % m) | _residues(m), label="y")
     _check_ops(x, y, m)
     _check_halve(x, m)
 
@@ -209,6 +211,8 @@ def test_counted_only_mul_bumps_tally():
     assert z.value == 12
     _ = z.halve()
     assert ctx.tally.count == 1  # halving is free
+    # the operations traded for multiplications are tallied apart
+    assert (ctx.tally.adds, ctx.tally.halvings) == (3, 1)
 
 
 def test_counted_taint_propagation():
