@@ -55,6 +55,7 @@ from .rings import (
     ZZ,
     halve_exact,
     ring_axiom_check,
+    tally,
 )
 
 __version__ = "0.1.0"
@@ -106,6 +107,7 @@ __all__ = [
     "shared_b_products",
     "symbolic_verify",
     "taint_audit",
+    "tally",
     "waksman_even",
     "waksman_odd",
     "winograd_even",

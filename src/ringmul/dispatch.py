@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 from . import baseline, general
 from .errors import UnsupportedShape
 from .matrices import Matrix
-from .rings import ZZ, CountedRing
+from .rings import ZZ, tally
 
 
 class Strategy(Enum):
@@ -30,10 +30,10 @@ class Strategy(Enum):
 class CostReport(NamedTuple):
     """Observed multiplication tally next to the formula prediction.
 
-    observed is the tally of this kernel at this shape, measured once per
-    process by running it on zero matrices of that shape with counting
-    elements; no product passes through the counting elements (see
-    multiply).
+    observed is the multiplication tally of this kernel at this shape,
+    counted by one `tally` run on zero matrices of that shape and cached
+    per process (see multiply); no product passes through the counting
+    elements.
     """
 
     strategy: Strategy
@@ -197,12 +197,15 @@ def choose_strategy(l, n, m, supports_halving=True):
     )
 
 
-#: Audited multiplication tallies keyed by (table row's kernel, l, n, m).
-#: Each key is written once, after a counted replay of that kernel on
-#: zeros; two threads missing together only repeat the replay.
-_AUDITED = {}
-#: The table is cleared when it reaches this many keys.
-_AUDITED_MAX = 1024
+@functools.lru_cache(maxsize=1024)
+def _observed(kernel, l, n, m):
+    """kernel's multiplication tally at (l, n, m), counted on integer zeros.
+
+    Keyed on the table row's kernel, so a kernel replaced in its row is
+    counted afresh.  Two threads that miss together only repeat the
+    replay.
+    """
+    return tally(kernel, Matrix.zeros(ZZ, l, n), Matrix.zeros(ZZ, n, m))[1].count
 
 
 def multiply(A, B, strategy=Strategy.AUTO):
@@ -214,12 +217,13 @@ def multiply(A, B, strategy=Strategy.AUTO):
     once, so no residue operator runs.  Every kernel is a straight-line
     program over the element operators, so its multiplication count
     depends on the shape alone, not on the ring.  The first time a kernel
-    meets a shape, it is replayed once on zeros of that shape over
-    CountedRing(ZZ); the replay only counts, and its tally is recorded
-    and reported as observed by every product of that kernel and shape.
-    Refusals, such as a halving schedule over an even modulus, come from
-    the product run and name the caller's ring.  A kernel replaced in
-    its table row is a new key and is counted afresh.
+    meets a shape, `tally` replays it once on integer zeros of that
+    shape; the replay only counts, and _observed caches its count (the
+    last 1024 kernel-and-shape keys) as the observed figure of every
+    product of that kernel and shape.  Refusals, such as a halving
+    schedule over an even modulus, come from the product run and name
+    the caller's ring.  A kernel replaced in its table row is a new key
+    and is counted afresh.
 
     Every schedule but naive relies on commuting entries, so over a ring
     whose `commutative` is False AUTO resolves to NAIVE and any other
@@ -237,13 +241,5 @@ def multiply(A, B, strategy=Strategy.AUTO):
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
     predicted = predict_count(strategy, l, n, m)
     kernel = kernel_for(strategy)
-    key = (_TABLE[strategy].kernel, l, n, m)
-    observed = _AUDITED.get(key)
-    if observed is None:
-        ctx = CountedRing(ZZ)
-        kernel(ctx.lift(Matrix.zeros(ZZ, l, n)), ctx.lift(Matrix.zeros(ZZ, n, m)))
-        observed = ctx.tally.count
-        if len(_AUDITED) >= _AUDITED_MAX:
-            _AUDITED.clear()
-        _AUDITED[key] = observed
+    observed = _observed(_TABLE[strategy].kernel, l, n, m)
     return A.ring.run(kernel, A, B), CostReport(strategy, l, n, m, predicted, observed)

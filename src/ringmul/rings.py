@@ -353,19 +353,24 @@ class Mat2Ring(Ring):
 class MulTally:
     """Operations executed in one computation: count, the general ring
     multiplications that the cost model prices, and apart from them adds
-    (each ``+``, ``-`` and unary minus) and exact halvings.
+    (each ``+``, ``-`` and unary minus) and exact halvings.  untainted
+    counts the multiplications that consumed an operand not derived from
+    the inputs; the schedules here never perform one.
 
     Owned by a single CountedRing context; never shared between
     concurrent computations.
     """
 
-    __slots__ = ("count", "adds", "halvings")
+    __slots__ = ("count", "adds", "halvings", "untainted")
 
     def __init__(self):
-        self.count = self.adds = self.halvings = 0
+        self.count = self.adds = self.halvings = self.untainted = 0
 
     def __repr__(self):
-        return f"MulTally({self.count}, adds={self.adds}, halvings={self.halvings})"
+        return (
+            f"MulTally({self.count}, adds={self.adds}, halvings={self.halvings}, "
+            f"untainted={self.untainted})"
+        )
 
 
 class Counted:
@@ -373,8 +378,8 @@ class Counted:
 
     taint is True once a value depends on some input matrix entry.
     Constants injected by an algorithm (zero, one, from_int) stay
-    untainted, and the context records any multiplication that consumed
-    an untainted operand; the schedules here never perform one.
+    untainted, and the tally's untainted field counts any multiplication
+    that consumed an untainted operand.
     """
 
     __slots__ = ("ctx", "value", "taint")
@@ -402,7 +407,7 @@ class Counted:
         ctx = self.ctx
         ctx.tally.count += 1
         if not (self.taint and other.taint):
-            ctx.untainted_muls += 1
+            ctx.tally.untainted += 1
         return Counted(ctx, self.value * other.value, self.taint or other.taint)
 
     def __neg__(self):
@@ -427,15 +432,14 @@ class Counted:
 class CountedRing(Ring):
     """Instrumented view of a base ring.
 
-    One instance is one computation context: it owns the tally and the
-    untainted-multiplication audit counter, so concurrent computations
-    never share state.
+    One instance is one computation context: it owns the MulTally that
+    its elements bill, so concurrent computations never share state.
+    tally() makes one per counted run.
     """
 
     def __init__(self, base):
         self.base = base
         self.tally = MulTally()
-        self.untainted_muls = 0
         self.name = f"counted({base.name})"
 
     @property
@@ -455,18 +459,19 @@ class CountedRing(Ring):
     def from_int(self, k):
         return Counted(self, self.base.from_int(k), False)
 
-    def random_element(self, rng):
-        return Counted(self, self.base.random_element(rng), True)
 
-    def lift(self, matrix):
-        """Wrap a matrix over the base ring; entries are tainted inputs."""
-        if matrix.ring.name != self.base.name:
-            raise ValueError(f"matrix over {matrix.ring.name}, context over {self.base.name}")
-        return matrix.map_entries(lambda v: Counted(self, v, True), ring=self)
+def tally(program, A, B):
+    """Run program(A, B) once over a fresh CountedRing(A.ring).
 
-    def unwrap(self, matrix):
-        """Strip instrumentation, returning a matrix over the base ring."""
-        return matrix.map_entries(lambda e: e.value, ring=self.base)
+    Every entry of A and B enters as a tainted input.  Returns (the
+    product over A.ring, the run's MulTally).  Raises ValueError when B
+    is over another ring than A.
+    """
+    if B.ring.name != A.ring.name:
+        raise ValueError(f"B over {B.ring.name}, A over {A.ring.name}")
+    ctx = CountedRing(A.ring)
+    C = program(*(M.map_entries(lambda v: Counted(ctx, v, True), ring=ctx) for M in (A, B)))
+    return C.map_entries(lambda e: e.value, ring=A.ring), ctx.tally
 
 
 class AxiomFailure(NamedTuple):

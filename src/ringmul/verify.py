@@ -23,11 +23,11 @@ import random
 from typing import NamedTuple
 
 from . import baseline, general
-from .dispatch import CostReport, Strategy, kernel_for, predict_count
+from .dispatch import CostReport, kernel_for, predict_count
 from .errors import CountMismatch, TermBudgetExceeded, WitnessNotFound
 from .matrices import Matrix, random_matrix
 from .polynomials import PolynomialRing
-from .rings import CountedRing, IntegerRing, Mat2Ring
+from .rings import ZZ, IntegerRing, Mat2Ring, tally
 
 
 def entry_names(l, n, m):
@@ -159,29 +159,21 @@ def randomized_check(strategy, l, n, m, ring=None, trials=100, seed=0):
     return RandomCheckReport(strategy, l, n, m, trials, trials)
 
 
-def _counted_run(kernel, l, n, m, rng):
-    """Run kernel once over a fresh CountedRing on random integer inputs
-    drawn from rng; returns the context holding the tallies."""
-    ring = IntegerRing()
-    ctx = CountedRing(ring)
-    kernel(ctx.lift(random_matrix(ring, l, n, rng)), ctx.lift(random_matrix(ring, n, m, rng)))
-    return ctx
-
-
 def count_audit(strategy, l, n, m, trials=2, seed=0):
     """Assert the tally is the predicted count and input-independent.
 
-    Counts the strategy's kernel afresh, each trial over its own
-    CountedRing, on at least two distinct random inputs; raises
-    CountMismatch if any tally differs from the closed-form prediction
-    (they cannot differ from each other then).  Returns the CostReport.
+    Counts the strategy's kernel afresh, one `tally` run per trial, on
+    at least two distinct random inputs; raises CountMismatch if any
+    tally differs from the closed-form prediction (they cannot differ
+    from each other then).  Returns the CostReport.
     """
     trials = max(2, trials)
     predicted = predict_count(strategy, l, n, m)
     kernel = kernel_for(strategy)
     rng = random.Random(seed)
     for _ in range(trials):
-        observed = _counted_run(kernel, l, n, m, rng).tally.count
+        A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
+        observed = tally(kernel, A, B)[1].count
         if observed != predicted:
             raise CountMismatch(
                 f"{strategy} on ({l},{n},{m}): predicted {predicted}, observed {observed}",
@@ -195,7 +187,9 @@ def taint_audit(strategy, l, n, m, seed=0):
     """Count multiplications that consumed an operand not derived from
     the input matrices.  The schedules here never multiply by injected
     constants, so this is zero for every supported shape."""
-    return _counted_run(kernel_for(strategy), l, n, m, random.Random(seed)).untainted_muls
+    rng = random.Random(seed)
+    A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
+    return tally(kernel_for(strategy), A, B)[1].untainted
 
 
 class NoncommutativeWitness(NamedTuple):

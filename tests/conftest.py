@@ -1,6 +1,6 @@
 import pytest
 
-from ringmul import ZZ, CountedRing, IntMat2, Mat2Ring, Matrix, matrix_from_ints
+from ringmul import ZZ, IntMat2, Mat2Ring, Matrix, matrix_from_ints, tally
 
 # Frozen regression fixture: 3x3 matrices over 2x2 integer matrices on
 # which the 21-multiplication schedule disagrees with the textbook
@@ -28,8 +28,5 @@ def frozen_noncommutative_pair():
 
 
 def run_counted(kernel, a_rows, b_rows):
-    """kernel over CountedRing(ZZ) on integer rows: (product over ZZ, MulTally)."""
-    ctx = CountedRing(ZZ)
-    A = ctx.lift(matrix_from_ints(ZZ, a_rows))
-    B = ctx.lift(matrix_from_ints(ZZ, b_rows))
-    return ctx.unwrap(kernel(A, B)), ctx.tally
+    """tally of kernel on integer rows: (product over ZZ, MulTally)."""
+    return tally(kernel, matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, b_rows))

@@ -25,6 +25,7 @@ from ringmul import (
     mul_odd_n_winograd,
     naive,
     random_matrix,
+    tally,
     waksman_even,
     waksman_odd,
     winograd_even,
@@ -145,11 +146,10 @@ def test_waksman_even_halves_each_sum_once(base, l, n, m):
     rng = random.Random(l * 100 + n * 10 + m)
     A = random_matrix(base, l, n, rng)
     B = random_matrix(base, n, m, rng)
-    ctx = CountedRing(base)
-    product = waksman_even(ctx.lift(A), ctx.lift(B))
+    product, counted = tally(waksman_even, A, B)
     # one halving per sign-split sum: l for column 1, m - 1 for row 1, two each
-    assert ctx.tally.halvings == 2 * (l + m - 1)
-    assert ctx.unwrap(product) == naive(A, B)
+    assert counted.halvings == 2 * (l + m - 1)
+    assert product == naive(A, B)
 
 
 def test_waksman_even_rejects_odd_inner():
@@ -216,11 +216,10 @@ def test_waksman_saves_half_n_over_winograd():
 
 def _op_tally(kernel, l, n, m, seed=0):
     rng = random.Random(seed)
-    A = random_matrix(ZZ, l, n, rng)
-    B = random_matrix(ZZ, n, m, rng)
-    product, tally = run_counted(kernel, A.to_rows(), B.to_rows())
+    A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
+    product, counted = tally(kernel, A, B)
     assert product == naive(A, B)
-    return tally.count, tally.adds, tally.halvings
+    return counted.count, counted.adds, counted.halvings
 
 
 #: An inner dimension whose folds cross a block seam: 2 * FOLD_CAP + 2

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from ringmul import (
-    CountedRing,
-    IntegerRing,
     Matrix,
     ModularRing,
     ShapeError,
@@ -26,11 +24,6 @@ B9 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
 ONES = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
 
 
-def _counted_ctx(*int_matrices):
-    ctx = CountedRing(IntegerRing())
-    return ctx, [ctx.lift(matrix_from_ints(ZZ, rows)) for rows in int_matrices]
-
-
 def test_shared_b_products_identity():
     s = shared_b_products(Matrix.identity(ZZ, 3))
     assert (s.p7, s.p8, s.p9) == (0, 0, 0)
@@ -47,10 +40,15 @@ def test_shared_b_products_values():
     assert (s.p7, s.p8, s.p9) == (2 * 4, 3 * 7, 6 * 8)
 
 
+def _shared_row(a, B):
+    """The B-only products as a 1x3 row, so that tally can count them."""
+    return Matrix(a.ring, 1, 3, list(shared_b_products(B)))
+
+
 def test_shared_b_products_tally_three():
-    ctx, (B,) = _counted_ctx(B9)
-    shared_b_products(B)
-    assert ctx.tally.count == 3
+    shared, counted = run_counted(_shared_row, [[1, 2, 3]], B9)
+    assert shared.to_rows() == [[2 * 4, 3 * 7, 6 * 8]]
+    assert counted.count == 3
 
 
 def test_shared_b_products_shape():
@@ -79,11 +77,10 @@ def test_row_against_oracle():
 
 
 def test_row_tally_six_given_shared():
-    ctx, (a, B) = _counted_ctx([[1, 2, 3]], B9)
-    shared = shared_b_products(B)
-    before = ctx.tally.count
-    row_times_3x3(a, B, shared)
-    assert ctx.tally.count - before == 6
+    # 3 B-only products, then 6 for the row
+    got, counted = run_counted(lambda a, B: row_times_3x3(a, B, shared_b_products(B)), [[1, 2, 3]], B9)
+    assert got.to_rows() == [[30, 36, 42]]
+    assert counted.count == 3 + 6
 
 
 def test_row_shape_checks():

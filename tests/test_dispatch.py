@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import ringmul.dispatch as dispatch
 from ringmul import (
-    CountedRing,
     ExactHalveUnavailable,
     Mat2Ring,
     Matrix,
@@ -28,6 +27,7 @@ from ringmul import (
     naive,
     predict_count,
     random_matrix,
+    tally,
 )
 from ringmul.dispatch import TIE_ORDER, applicable
 
@@ -210,13 +210,13 @@ def test_multiply_runs_the_mirrored_row_where_cheaper(shape, halving, expected, 
     l, n, m = shape
     ring = ZZ if halving else ModularRing(2**64)
     rng = random.Random(25)
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        for _ in range(2):  # audited, then warm
-            A, B = _random_pair(ring, l, n, m, rng)
-            product, report = multiply(A, B)
-            assert product == naive(A, B)
-            assert report.strategy is expected
-            assert report.observed == report.predicted == count
+    dispatch._observed.cache_clear()
+    for _ in range(2):  # audited, then warm
+        A, B = _random_pair(ring, l, n, m, rng)
+        product, report = multiply(A, B)
+        assert product == naive(A, B)
+        assert report.strategy is expected
+        assert report.observed == report.predicted == count
 
 
 def _raised(kernel, A, B):
@@ -365,12 +365,10 @@ def test_multiply_shape_and_ring_checks():
     assert product.to_rows() == [[xy.from_int(14)]]
     with pytest.raises(ValueError, match="different rings"):
         multiply(A, matrix_from_ints(ab, [[1], [4]]))
-    with pytest.raises(ValueError):
-        CountedRing(xy).lift(matrix_from_ints(ab, [[1]]))
 
 
 # ---------------------------------------------------------------------------
-# the audit table: one counted run per (kernel, shape), bare runs after it
+# the audit cache: one counted run per (kernel, shape), bare runs after it
 
 
 def _random_pair(ring, l, n, m, rng):
@@ -381,10 +379,10 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
     rng = random.Random(6)
     multiply(*_random_pair(ZZ, 3, 5, 4, rng))
 
-    def refuse(self, matrix):
-        raise AssertionError("CountedRing.lift on a warm (kernel, shape)")
+    def refuse(*args):
+        raise AssertionError("tally on a warm (kernel, shape)")
 
-    monkeypatch.setattr(CountedRing, "lift", refuse)
+    monkeypatch.setattr(dispatch, "tally", refuse)
     A, B = _random_pair(ZZ, 3, 5, 4, rng)
     product, report = multiply(A, B)
     assert product == naive(A, B)
@@ -398,24 +396,19 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
 def test_cold_multiply_counts_on_zeros_and_runs_the_bare_kernel(monkeypatch, ring, shape):
     # the first product of a (kernel, shape) comes from the bare kernel;
     # the counting elements only ever see zeros
-    lifted = []
-    lift = CountedRing.lift
+    counted = []
 
-    def recording_lift(self, matrix):
-        lifted.extend(matrix.data)
-        return lift(self, matrix)
+    def recording_tally(program, A, B):
+        counted.extend(A.data + B.data)
+        return tally(program, A, B)
 
-    def refuse(self, matrix):
-        raise AssertionError("CountedRing.unwrap on the multiply path")
-
-    monkeypatch.setattr(CountedRing, "lift", recording_lift)
-    monkeypatch.setattr(CountedRing, "unwrap", refuse)
-    monkeypatch.setattr(dispatch, "_AUDITED", {})
+    monkeypatch.setattr(dispatch, "tally", recording_tally)
+    dispatch._observed.cache_clear()
     A, B = _random_pair(ring, *shape, random.Random(26))
     product, report = multiply(A, B)
     assert product == naive(A, B)
     assert report.observed == report.predicted
-    assert lifted and all(type(e) is int and e == 0 for e in lifted)
+    assert counted and all(type(e) is int and e == 0 for e in counted)
 
 
 def test_replaced_kernel_is_audited_afresh(monkeypatch):
@@ -436,24 +429,13 @@ def test_replaced_kernel_is_audited_afresh(monkeypatch):
         assert (report.predicted, report.observed) == (8, 16)
 
 
-def test_audit_table_never_exceeds_its_bound(monkeypatch):
-    monkeypatch.setattr(dispatch, "_AUDITED", {})
-    A = matrix_from_ints(ZZ, [[5]])
-    sizes = []
-    row = dispatch._TABLE[Strategy.NAIVE]
-    for _ in range(dispatch._AUDITED_MAX + 3):
-        # a fresh kernel object is a fresh key
-        monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, row._replace(kernel=lambda A, B: naive(A, B)))
-        assert multiply(A, A, Strategy.NAIVE)[1].observed == 1
-        sizes.append(len(dispatch._AUDITED))
-    assert max(sizes) == dispatch._AUDITED_MAX == 1024
-    assert sizes[-3:] == [1, 2, 3]
+def test_audit_table_never_exceeds_its_bound():
+    assert dispatch._observed.cache_info().maxsize == 1024
 
 
-def test_concurrent_multiplies_report_true_counts(monkeypatch):
-    # a tiny bound makes clears race with reads and first-call writes
-    monkeypatch.setattr(dispatch, "_AUDITED", {})
-    monkeypatch.setattr(dispatch, "_AUDITED_MAX", 3)
+def test_concurrent_multiplies_report_true_counts():
+    # cold keys: first calls race with reads and with each other
+    dispatch._observed.cache_clear()
     rng = random.Random(11)
     shapes = [(2, 3, 3), (3, 4, 2), (2, 5, 4), (1, 2, 1), (3, 3, 5)]
     cases = [(A, B, naive(A, B)) for A, B in (_random_pair(ZZ, *s, rng) for s in shapes)]
@@ -481,11 +463,10 @@ def test_concurrent_multiplies_report_true_counts(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(dispatch._AUDITED) <= 3
 
 
 # ---------------------------------------------------------------------------
-# properties the audit table relies on
+# properties the audit cache relies on
 
 _DIM = st.integers(1, 6)
 _ODD = st.integers(0, 3).map(lambda k: 2 * k + 1)
@@ -517,16 +498,16 @@ def test_multiply_audited_then_from_table_matches_naive(strategy, ring, data):
     l, n, m = data.draw(SHAPES[strategy], label="shape")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     predicted = predict_count(strategy, l, n, m)
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        A, B = _random_pair(ring, l, n, m, rng)
-        product, report = multiply(A, B, strategy)  # audited
-        assert product == naive(A, B)
-        assert report.observed == report.predicted == predicted
-        A, B = _random_pair(ring, l, n, m, rng)
-        with mock.patch.object(CountedRing, "lift", side_effect=AssertionError("lift")):
-            product, report = multiply(A, B, strategy)  # from the table
-        assert product == naive(A, B)
-        assert report.observed == report.predicted == predicted
+    dispatch._observed.cache_clear()
+    A, B = _random_pair(ring, l, n, m, rng)
+    product, report = multiply(A, B, strategy)  # audited
+    assert product == naive(A, B)
+    assert report.observed == report.predicted == predicted
+    A, B = _random_pair(ring, l, n, m, rng)
+    with mock.patch.object(dispatch, "tally", side_effect=AssertionError("tally")):
+        product, report = multiply(A, B, strategy)  # from the cache
+    assert product == naive(A, B)
+    assert report.observed == report.predicted == predicted
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["int", "mod_p61"])
@@ -537,17 +518,16 @@ def test_tally_is_data_oblivious(strategy, ring, data):
     l, n, m = data.draw(SHAPES[strategy], label="shape")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
 
-    def tally(A, B):
-        ctx = CountedRing(ring)
-        kernel_for(strategy)(ctx.lift(A), ctx.lift(B))
-        return ctx.tally.count, ctx.tally.adds, ctx.tally.halvings
+    def counts(A, B):
+        counted = tally(kernel_for(strategy), A, B)[1]
+        return counted.count, counted.adds, counted.halvings
 
     def filled(rows, cols, value):
         return Matrix(ring, rows, cols, [value] * (rows * cols))
 
-    random_tally = tally(*_random_pair(ring, l, n, m, rng))
+    random_tally = counts(*_random_pair(ring, l, n, m, rng))
     for value in (ring.zero(), ring.one()):
-        assert tally(filled(l, n, value), filled(n, m, value)) == random_tally
+        assert counts(filled(l, n, value), filled(n, m, value)) == random_tally
     assert random_tally[0] == predict_count(strategy, l, n, m)
 
 
@@ -569,19 +549,19 @@ def _textbook_mod(A, B, modulus):
 @pytest.mark.parametrize("strategy,shape", [(Strategy.WAKSMAN_EVEN, (2, 4, 3)), (Strategy.GENERAL_ODD, (2, 5, 3))])
 @pytest.mark.parametrize("first", [7, 8], ids=["warmed-at-mod7", "cold"])
 def test_even_modulus_refuses_halving_on_every_call(strategy, shape, first):
-    # the audit table keys on (kernel, shape), not on the ring, so a key
+    # the audit cache keys on (kernel, shape), not on the ring, so a key
     # warmed at an odd modulus must still refuse an even one, and the
     # refusal names the caller's ring whether the key is cold or warm
     rng = random.Random(21)
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        if first == 7:
-            multiply(*_random_pair(ModularRing(7), *shape, rng), strategy)
-        A, B = _random_pair(ModularRing(8), *shape, rng)
-        for _ in range(3):
-            with pytest.raises(ExactHalveUnavailable) as refused:
-                multiply(A, B, strategy)
-            assert str(refused.value) == "ring mod8 lacks exact halving"
-            assert "counted(" not in str(refused.value)
+    dispatch._observed.cache_clear()
+    if first == 7:
+        multiply(*_random_pair(ModularRing(7), *shape, rng), strategy)
+    A, B = _random_pair(ModularRing(8), *shape, rng)
+    for _ in range(3):
+        with pytest.raises(ExactHalveUnavailable) as refused:
+            multiply(A, B, strategy)
+        assert str(refused.value) == "ring mod8 lacks exact halving"
+        assert "counted(" not in str(refused.value)
 
 
 def _with_entry(matrix, index, entry):
@@ -600,15 +580,15 @@ def test_foreign_entry_raises_on_every_call(shape, entry, error, match):
     rng = random.Random(22)
     ring = ModularRing(7)
     l, n, m = shape
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        for side in range(6):  # cold first, then warm; the entry in A, then in B
-            A, B = _random_pair(ring, l, n, m, rng)
-            if side % 2:
-                B = _with_entry(B, rng.randrange(n * m), entry)
-            else:
-                A = _with_entry(A, rng.randrange(l * n), entry)
-            with pytest.raises(error, match=match):
-                multiply(A, B)
+    dispatch._observed.cache_clear()
+    for side in range(6):  # cold first, then warm; the entry in A, then in B
+        A, B = _random_pair(ring, l, n, m, rng)
+        if side % 2:
+            B = _with_entry(B, rng.randrange(n * m), entry)
+        else:
+            A = _with_entry(A, rng.randrange(l * n), entry)
+        with pytest.raises(error, match=match):
+            multiply(A, B)
 
 
 def test_matrix_of_foreign_entries_is_refused():
@@ -635,12 +615,12 @@ def test_residue_multiply_runs_no_residue_operator(monkeypatch):
 
     for op in ("__add__", "__sub__", "__mul__", "__neg__", "halve"):
         monkeypatch.setattr(Mod, op, refuse)
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        for _ in range(2):  # audited, then warm
-            for A, B, want in cases:
-                product, report = multiply(A, B)
-                assert [e.value for e in product.data] == want
-                assert report.observed == report.predicted
+    dispatch._observed.cache_clear()
+    for _ in range(2):  # audited, then warm
+        for A, B, want in cases:
+            product, report = multiply(A, B)
+            assert [e.value for e in product.data] == want
+            assert report.observed == report.predicted
 
 
 ODD4096 = random.Random(4096).getrandbits(4096) | (1 << 4095) | 1
@@ -666,18 +646,18 @@ def test_residue_products_are_canonical_and_counted(modulus, shape, seed):
     strategies = [s for s in CONCRETE if applicable(s, l, n, m, ring.supports_halving)]
     for strategy in strategies:
         predicted = predict_count(strategy, l, n, m)
-        with mock.patch.dict(dispatch._AUDITED, clear=True):
-            for _ in range(2):  # audited, then warm
-                A = Matrix(ring, l, n, [entry() for _ in range(l * n)])
-                B = Matrix(ring, n, m, [entry() for _ in range(n * m)])
-                product, report = multiply(A, B, strategy)
-                assert (product.rows, product.cols, product.ring) == (l, m, ring)
-                assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)
-                for e in product.data:
-                    assert 0 <= e.value < modulus
-                    assert e == Mod(e.value, modulus)
-                    assert hash(e) == hash(Mod(e.value, modulus))
-                assert report.observed == report.predicted == predicted
+        dispatch._observed.cache_clear()
+        for _ in range(2):  # audited, then warm
+            A = Matrix(ring, l, n, [entry() for _ in range(l * n)])
+            B = Matrix(ring, n, m, [entry() for _ in range(n * m)])
+            product, report = multiply(A, B, strategy)
+            assert (product.rows, product.cols, product.ring) == (l, m, ring)
+            assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)
+            for e in product.data:
+                assert 0 <= e.value < modulus
+                assert e == Mod(e.value, modulus)
+                assert hash(e) == hash(Mod(e.value, modulus))
+            assert report.observed == report.predicted == predicted
 
 
 @pytest.mark.parametrize("modulus", [2**64, 2**4096], ids=["2^64", "2^4096"])
@@ -685,11 +665,11 @@ def test_auto_over_power_of_two_moduli_runs_general_winograd(modulus):
     # no exact halving mod 2^k, so odd n > 3 takes the halving-free schedule
     rng = random.Random(24)
     ring = ModularRing(modulus)
-    with mock.patch.dict(dispatch._AUDITED, clear=True):
-        for _ in range(2):  # audited, then warm
-            A, B = _random_pair(ring, 16, 15, 16, rng)
-            product, report = multiply(A, B)
-            assert report.strategy is Strategy.GENERAL_WINOGRAD
-            assert report.observed == report.predicted == 2166
-            assert product == naive(A, B)
-            assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)
+    dispatch._observed.cache_clear()
+    for _ in range(2):  # audited, then warm
+        A, B = _random_pair(ring, 16, 15, 16, rng)
+        product, report = multiply(A, B)
+        assert report.strategy is Strategy.GENERAL_WINOGRAD
+        assert report.observed == report.predicted == 2166
+        assert product == naive(A, B)
+        assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)

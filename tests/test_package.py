@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from ringmul import ColumnPairSchedule, CostReport, SharedBProducts, Strategy
 from ringmul.rings import AxiomFailure, AxiomReport
 from ringmul.verify import Mismatch, NoncommutativeWitness, RandomCheckReport, SymbolicReport
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_fresh(code):
@@ -88,3 +90,25 @@ def test_axiom_records_keep_their_methods():
     assert failure.describe() == "mul_commutative fails on (2, 3)"
     assert AxiomReport("ZZ", 1, []).ok
     assert not AxiomReport("ZZ", 1, [failure]).ok
+
+
+def _unused_imports(path):
+    """Names imported at module level in path and never read; a name in
+    __all__ counts as read, and a __future__ import binds no name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            read.update(ast.literal_eval(node.value))
+    read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return sorted(imported - read)
+
+
+def test_every_module_level_import_is_read():
+    files = sorted((ROOT / "src" / "ringmul").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {str(p.relative_to(ROOT)): names for p in files if (names := _unused_imports(p))}
+    assert unused == {}

@@ -11,7 +11,7 @@ from ringmul import (
     Strategy,
     TermBudgetExceeded,
     WitnessNotFound,
-    ZZ,
+    cli,
     count_audit,
     mul_33_33,
     naive,
@@ -320,6 +320,11 @@ def test_count_audit_mismatch_raises():
 )
 def test_no_multiplications_by_constants(strategy, shape):
     assert taint_audit(strategy, *shape) == 0
+
+
+def test_no_strategy_multiplies_a_constant_on_the_verify_grid():
+    # every (strategy, l, n, m) that `ringmul verify` walks by default
+    assert [s for s in cli._supported_shapes(3, 7, 6) if taint_audit(*s)] == []
 
 
 def test_witness_search_finds_disagreement():
