@@ -57,6 +57,24 @@ def _check_inner(A, B):
         raise ShapeError(f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
 
 
+def even_n(l, n, m):
+    """Why (l, n, m) is outside winograd_even's and waksman_even's domain, or None."""
+    return f"needs even inner dimension, got {n}" if n % 2 else None
+
+
+def odd_n(l, n, m):
+    """Why (l, n, m) is outside waksman_odd's domain, or None."""
+    return None if n % 2 else f"needs odd inner dimension, got {n}"
+
+
+def _check_domain(domain, A, B):
+    """_check_inner, then refuse with the reason of domain, which the table row reads."""
+    _check_inner(A, B)
+    reason = domain(A.rows, A.cols, B.cols)
+    if reason is not None:
+        raise UnsupportedShape(reason)
+
+
 #: The longest fold, in terms, that one generated function spells out.
 #: Longer folds run in blocks, so generated code stays bounded whatever n.
 FOLD_CAP = 32
@@ -153,12 +171,10 @@ def winograd_even(A, B):
 
     c_ij = sum_k (a_{i,2k-1} + b_{2k,j})(a_{i,2k} + b_{2k-1,j}) - r_i - s_j
     with r_i, s_j the row/column self-products.  Exactly n(lm+l+m)/2
-    multiplications; no halving capability needed.
+    multiplications; no halving capability needed.  Domain: even_n.
     """
-    _check_inner(A, B)
+    _check_domain(even_n, A, B)
     n = A.cols
-    if n % 2:
-        raise UnsupportedShape(f"inner dimension {n} must be even")
     dot, split_dot = _fold("dot", n // 2)
     paired, split = _fold("paired", n // 2)
     m = B.cols
@@ -203,11 +219,10 @@ def waksman_even(A, B):
     sum of the two totals are each halved once, so the schedule performs
     2(l+m-1) exact halvings, independent of n.  Each is a sum of terms of
     the form y + y, so halving is exact over any 2-torsion-free ring.
+    Domain: even_n.
     """
-    _check_inner(A, B)
+    _check_domain(even_n, A, B)
     n = A.cols
-    if n % 2:
-        raise UnsupportedShape(f"inner dimension {n} must be even")
     if not A.ring.supports_halving:
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
     paired, split = _fold("paired", n // 2)
@@ -237,12 +252,10 @@ def waksman_odd(A, B):
     Splits n = (n-1) + 1, runs waksman_even on the even part and adds
     naive's product of A's last column with B's last row (l*m
     multiplications), for (n-1)(lm+l+m-1)/2 + lm in total; n = 1 is
-    naive alone.
+    naive alone.  Domain: odd_n.
     """
-    _check_inner(A, B)
+    _check_domain(odd_n, A, B)
     n = A.cols
-    if n % 2 == 0:
-        raise UnsupportedShape(f"inner dimension {n} must be odd")
     if n == 1:
         return naive(A, B)
     rank1 = naive(A.slice_cols(n - 1, n), B.slice_rows(n - 1, n))

@@ -62,7 +62,7 @@ _SYMBOLIC_CAP = (4, 7, 7)
 
 
 class _InputError(Exception):
-    pass
+    """Malformed input from a file or a flag; main reports it and exits 2."""
 
 
 def _is_int(v):
@@ -84,17 +84,22 @@ def _parse_entry(v, where):
     raise _InputError(f"{where}: unsupported entry {v!r}")
 
 
+def _check_header(path, rows, cols):
+    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
+        raise _InputError(f"{path}: rows/cols must be positive integers")
+
+
 def _load_matrix_file(path):
     """Parse a matrix file; returns (rows, cols, entries, modulus-or-None)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which lstrip() would keep
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise _InputError(f"{path}: {e}") from None
     except UnicodeDecodeError as e:
         raise _InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
@@ -105,8 +110,7 @@ def _load_matrix_file(path):
             rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError):
             raise _InputError(f"{path}: need keys rows, cols, data") from None
-        if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
-            raise _InputError(f"{path}: rows/cols must be positive integers")
+        _check_header(path, rows, cols)
         if not isinstance(data, list) or len(data) != rows * cols:
             raise _InputError(f"{path}: data must hold {rows * cols} entries")
         entries = [_parse_entry(v, path) for v in data]
@@ -117,14 +121,12 @@ def _load_matrix_file(path):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise _InputError(f"{path}: empty matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise _InputError(f"{path}: first line must be 'ROWS COLS'")
     try:
-        rows, cols = int(head[0]), int(head[1])
+        rows, cols = map(int, lines[0].split())
     except ValueError:
         raise _InputError(f"{path}: first line must be 'ROWS COLS'") from None
-    if rows < 1 or cols < 1 or len(lines) != rows + 1:
+    _check_header(path, rows, cols)
+    if len(lines) != rows + 1:
         raise _InputError(f"{path}: expected {rows} data rows")
     entries = []
     for ln in lines[1:]:
@@ -184,31 +186,30 @@ def _int_digits_unlimited():
         sys.set_int_max_str_digits(old)
 
 
+def _ring_modulus(spec):
+    """P of a ring spec "mod:P", an integer >= 2."""
+    try:
+        modulus = int(spec[4:], 10)
+    except ValueError:
+        raise _InputError(f"bad ring spec {spec!r}") from None
+    if modulus < 2:
+        raise _InputError(f"modulus must be >= 2 in {spec!r}")
+    return modulus
+
+
 @_int_digits_unlimited()
 def cmd_mul(args):
-    try:
-        ra, ca, ea, mod_a = _load_matrix_file(args.a)
-        rb, cb, eb, mod_b = _load_matrix_file(args.b)
-    except _InputError as e:
-        return _fail(2, str(e))
-
+    ra, ca, ea, mod_a = _load_matrix_file(args.a)
+    rb, cb, eb, mod_b = _load_matrix_file(args.b)
     if mod_a is not None and mod_b is not None and mod_a != mod_b:
-        return _fail(2, f"moduli disagree: {mod_a} vs {mod_b}")
-    file_mod = mod_a if mod_a is not None else mod_b
-
-    if args.ring == "int":
-        modulus = file_mod
-    elif args.ring.startswith("mod:"):
-        try:
-            modulus = int(args.ring[4:], 10)
-        except ValueError:
-            return _fail(2, f"bad ring spec {args.ring!r}")
-        if modulus < 2:
-            return _fail(2, f"modulus must be >= 2, got {modulus}")
+        raise _InputError(f"moduli disagree: {mod_a} vs {mod_b}")
+    file_mod = modulus = mod_a if mod_a is not None else mod_b
+    if args.ring.startswith("mod:"):
+        modulus = _ring_modulus(args.ring)
         if file_mod is not None and file_mod != modulus:
-            return _fail(2, f"file modulus {file_mod} conflicts with --ring {args.ring}")
-    else:
-        return _fail(2, f"bad ring spec {args.ring!r} (use int or mod:P)")
+            raise _InputError(f"file modulus {file_mod} conflicts with --ring {args.ring}")
+    elif args.ring != "int":
+        raise _InputError(f"bad ring spec {args.ring!r} (use int or mod:P)")
 
     ring = ModularRing(modulus) if modulus is not None else IntegerRing()
     A = Matrix(ring, ra, ca, [ring.from_int(v) for v in ea])
@@ -275,16 +276,13 @@ def cmd_table(args):
 
 
 def _parse_triple(text, flag):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _InputError(f"{flag} must be three comma-separated integers, got {text!r}")
     try:
-        vals = tuple(int(p) for p in parts)
+        l, n, m = map(int, text.split(","))
     except ValueError:
         raise _InputError(f"{flag} must be three comma-separated integers, got {text!r}") from None
-    if any(v < 1 for v in vals):
+    if min(l, n, m) < 1:
         raise _InputError(f"{flag} values must be >= 1, got {text!r}")
-    return vals
+    return l, n, m
 
 
 def _supported_shapes(lmax, nmax, mmax):
@@ -349,13 +347,9 @@ def _run_suite(check, bounds, seed):
 
 
 def cmd_verify(args):
-    try:
-        lmax, nmax, mmax = _parse_triple(args.max_shape, "--max-shape")
-    except _InputError as e:
-        return _fail(2, str(e))
-    if max(lmax, nmax, mmax) > _VERIFY_SHAPE_CAP:
+    bounds = _parse_triple(args.max_shape, "--max-shape")
+    if max(bounds) > _VERIFY_SHAPE_CAP:
         return _fail(2, f"--max-shape values must be <= {_VERIFY_SHAPE_CAP}, got {args.max_shape!r}")
-    bounds = (lmax, nmax, mmax)
     suites = {
         "counts": (_verify_counts, bounds),
         "random": (_verify_random, bounds),
@@ -364,7 +358,7 @@ def cmd_verify(args):
     wanted = list(suites) if args.suite == "all" else [args.suite]
     summary = {
         "seed": args.seed,
-        "max_shape": [lmax, nmax, mmax],
+        "max_shape": list(bounds),
         "suites": {},
         "ok": True,
     }
@@ -386,14 +380,10 @@ def _bench_ring(spec):
         bits = int(spec[4:], 10)
         if bits < 1:
             raise _InputError(f"bad bit size in {spec!r}")
-        ring = IntegerRing()
-        return ring, lambda rng: rng.getrandbits(bits) - (1 << (bits - 1))
+        return IntegerRing(), lambda rng: rng.getrandbits(bits) - (1 << (bits - 1))
     if spec.startswith("mod:"):
-        modulus = int(spec[4:], 10)
-        if modulus < 2:
-            raise _InputError(f"modulus must be >= 2 in {spec!r}")
-        ring = ModularRing(modulus)
-        return ring, lambda rng: ring.from_int(rng.randrange(modulus))
+        ring = ModularRing(_ring_modulus(spec))
+        return ring, lambda rng: ring.from_int(rng.randrange(ring.modulus))
     raise _InputError(f"bad ring spec {spec!r} (use int:BITS or mod:P)")
 
 
@@ -404,10 +394,10 @@ def cmd_bench(args):
 
     if args.reps < 1:
         return _fail(2, f"--reps must be >= 1, got {args.reps}")
+    l, n, m = _parse_triple(args.shape, "--shape")
     try:
-        l, n, m = _parse_triple(args.shape, "--shape")
         ring, draw = _bench_ring(args.ring)
-    except (_InputError, ValueError) as e:
+    except ValueError as e:  # int:BITS with a non-integer BITS
         return _fail(2, str(e))
 
     if args.strategy:
@@ -512,7 +502,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ShapeError as e:
+    except (_InputError, ShapeError) as e:
         return _fail(2, str(e))
     except ExactHalveUnavailable as e:
         return _fail(3, str(e))

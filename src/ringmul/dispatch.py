@@ -59,19 +59,8 @@ def _exact_half(v):
     return q
 
 
-def _even_n(l, n, m):
-    return f"needs even inner dimension, got {n}" if n % 2 else None
-
-
 def _core3_domain(l, n, m):
     return None if (n, m) == (3, 3) else f"covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
-
-
-def _general_domain(l, n, m, width="m"):
-    """general's domain; width labels the caller's dimension that is m here."""
-    if n % 2 == 0 or n < 3:
-        return f"needs odd inner dimension >= 3, got {n}"
-    return f"needs {width} >= 3, got {m}" if m < 3 else None
 
 
 def _general_count(l, n, m):
@@ -111,33 +100,35 @@ def _mirrored(row):
 
 
 #: Kernel, domain, count formula and halving need of each concrete
-#: strategy, one row each.  The rows are in tie order: among applicable
-#: strategies with the same predicted count, choose_strategy takes the
-#: first row.  naive comes first, so at equal counts `auto` runs the
-#: textbook product, which spends the fewest additions and never halves.
+#: strategy, one row each.  Each domain but naive's and core3's is the
+#: predicate that its kernel refuses through.  The rows are in tie order:
+#: among applicable strategies with the same predicted count,
+#: choose_strategy takes the first row.  naive comes first, so at equal
+#: counts `auto` runs the textbook product, which spends the fewest
+#: additions and never halves.
 #: The mirrored rows come last, so `auto` runs a product transposed only
 #: where that is strictly cheaper.
 _TABLE = {
     Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
-    Strategy.GENERAL_ODD: _Row(general.mul_odd_n, _general_domain, _general_count, 3),
+    Strategy.GENERAL_ODD: _Row(general.mul_odd_n, general.odd_n_wide, _general_count, 3),
     Strategy.CORE3: _Row(general.mul_n3_33, _core3_domain, lambda l, n, m: 6 * l + 3, None),
     Strategy.WAKSMAN_EVEN: _Row(
         baseline.waksman_even,
-        _even_n,
+        baseline.even_n,
         lambda l, n, m: _exact_half(n * (l * m + l + m - 1)),
         0,
     ),
-    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, _even_n, _winograd_count, None),
+    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, baseline.even_n, _winograd_count, None),
     Strategy.WAKSMAN_ODD: _Row(
         baseline.waksman_odd,
-        lambda l, n, m: None if n % 2 else f"needs odd inner dimension, got {n}",
+        baseline.odd_n,
         lambda l, n, m: _exact_half((n - 1) * (l * m + l + m - 1)) + l * m,
         1,
     ),
     # general's lead block (its n = 3 case) plus winograd-even on the rest
     Strategy.GENERAL_WINOGRAD: _Row(
         general.mul_odd_n_winograd,
-        _general_domain,
+        general.odd_n_wide,
         lambda l, n, m: _general_count(l, 3, m) + _winograd_count(l, n - 3, m),
         None,
     ),

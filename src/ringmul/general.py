@@ -161,7 +161,7 @@ def core3_times_3xm(A1, B1):
     2(l-1) + 3(lm+m)/2 for even m; the count does not depend on the
     entry values.  m < 3 raises UnsupportedShape (from
     ColumnPairSchedule.for_width), and factors that do not meet in 3
-    columns raise ShapeError; the odd-n kernels rely on both checks.
+    columns raise ShapeError.
     """
     sched = ColumnPairSchedule.for_width(B1.cols)
     baseline._check_inner(A1, B1)
@@ -227,17 +227,21 @@ def mul_33_33(A, B):
     return mul_n3_33(A, B)
 
 
+def odd_n_wide(l, n, m, width="m"):
+    """Why (l, n, m) is outside the odd-n kernels' domain, or None; width names m."""
+    if n % 2 == 0 or n < 3:
+        return f"needs odd inner dimension >= 3, got {n}"
+    return f"needs {width} >= 3, got {m}" if m < 3 else None
+
+
 def _lead_plus_remainder(A, B, remainder):
     """A1*B1 by core3_times_3xm plus remainder(A2, B2) for the even rest.
 
-    The checks, the split and the n = 3 early return shared by the odd-n
-    kernels, which differ only in the remainder's schedule.  m < 3 is
-    refused by the lead block, before any remainder runs.
+    The domain check, the split and the n = 3 early return shared by the
+    odd-n kernels, which differ only in the remainder's schedule.
     """
-    baseline._check_inner(A, B)
+    baseline._check_domain(odd_n_wide, A, B)
     n = A.cols
-    if n % 2 == 0 or n < 3:
-        raise UnsupportedShape(f"inner dimension {n} must be odd and >= 3")
     if n == 3:
         return core3_times_3xm(A, B)
     lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
@@ -250,7 +254,7 @@ def mul_odd_n(A, B):
     Exactly n(lm+l+m-1)/2 multiplications for odd m and
     (n(lm+l+m-1) + l - 1)/2 for even m.  For n > 3 the ring must support
     exact halving (the even remainder runs Waksman's scheme); for n = 3
-    the remainder is absent and no halving is needed.
+    the remainder is absent and no halving is needed.  Domain: odd_n_wide.
     """
     return _lead_plus_remainder(A, B, baseline.waksman_even)
 
@@ -263,6 +267,7 @@ def mul_odd_n_winograd(A, B):
     block's, so 3(lm+l+m-1)/2 + (n-3)(lm+l+m)/2 for odd m and
     2(l-1) + 3(lm+m)/2 + (n-3)(lm+l+m)/2 for even m.  This is the
     odd-n schedule for rings without exact halving, such as Z/2^k.
+    Domain: odd_n_wide.
     """
     return _lead_plus_remainder(A, B, baseline.winograd_even)
 

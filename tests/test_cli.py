@@ -108,6 +108,63 @@ def test_mul_non_utf8_file_exit_2(tmp_path, capsys):
     assert stderr.startswith("error: " + str(a)) and stderr.count("\n") == 1
 
 
+def test_mul_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text("\ufeff" + json.dumps(I3), encoding="utf-8")
+    b = tmp_path / "b.txt"
+    b.write_text("\ufeff3 3\n1 2 3\n4 5 6\n7 8 9\n", encoding="utf-8")
+    code, stdout, stderr = _run(capsys, ["mul", "--a", str(a), "--b", str(b)])
+    assert code == 0, stderr
+    assert json.loads(stdout)["data"] == list(range(1, 10))
+
+
+_MUL = ["mul", "--a", "{a}", "--b", "{a}"]
+_ONE = "1 1\n2\n"
+
+
+@pytest.mark.parametrize(
+    "content,argv,named",
+    [
+        pytest.param('{"rows": 1, "cols": 1, "data": [true]}', _MUL, "{a}", id="boolean-entry"),
+        pytest.param('{"rows": 1, "cols": 1, "data": [null]}', _MUL, "{a}", id="unsupported-entry"),
+        pytest.param('{"rows": 1, "cols": 1, "data": ["12x"]}', _MUL, "{a}", id="bad-decimal-literal"),
+        pytest.param(None, _MUL, "{a}", id="unreadable-path"),
+        pytest.param('{"rows": 1, "cols": 1,', _MUL, "{a}", id="invalid-json"),
+        pytest.param('{"rows": 1, "cols": 1}', _MUL, "{a}", id="missing-keys"),
+        pytest.param("\n \n", _MUL, "{a}", id="text-empty"),
+        pytest.param("1 1 1\n2\n", _MUL, "{a}", id="text-header-token-count"),
+        pytest.param("1 x\n2\n", _MUL, "{a}", id="text-header-not-integer"),
+        pytest.param("2 1\n2\n", _MUL, "{a}", id="text-data-row-count"),
+        pytest.param("1 2\n2\n", _MUL, "{a}", id="text-row-width"),
+        pytest.param(_ONE, [*_MUL, "--ring", "mod:x"], "mod:x", id="mul-ring-modulus-not-integer"),
+        pytest.param(_ONE, [*_MUL, "--ring", "mod:1"], "mod:1", id="mul-ring-modulus-below-2"),
+        pytest.param(
+            '{"rows": 1, "cols": 1, "modulus": 7, "data": [3]}',
+            [*_MUL, "--ring", "mod:5"],
+            "--ring",
+            id="mul-ring-conflicts-with-file",
+        ),
+        pytest.param(_ONE, [*_MUL, "--ring", "gf:7"], "gf:7", id="mul-ring-unknown"),
+        pytest.param(None, ["verify", "--max-shape", "1,x,1"], "--max-shape", id="max-shape-not-integer"),
+        pytest.param(None, ["verify", "--max-shape", "1,0,1"], "--max-shape", id="max-shape-zero"),
+        pytest.param(None, ["bench", "--shape", "1,x,1"], "--shape", id="shape-not-integer"),
+        pytest.param(None, ["bench", "--shape", "1,0,1"], "--shape", id="shape-zero"),
+        pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:0"], "int:0", id="bench-ring-zero-bits"),
+        pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "mod:1"], "mod:1", id="bench-ring-modulus-below-2"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line_naming_the_input(tmp_path, capsys, content, argv, named):
+    # the one error line names the bad file, or the flag or the value given to it
+    a = tmp_path / "a"
+    if content is not None:
+        a.write_text(content)
+    code, stdout, stderr = _run(capsys, [arg.format(a=a) for arg in argv])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert named.format(a=a) in stderr
+
+
 def test_mul_deeply_nested_json_exit_2(tmp_path, capsys):
     depth = 200_000
     a = _write(tmp_path / "a.json", '{"rows": ' + "[" * depth + "]" * depth + "}")

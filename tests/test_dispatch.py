@@ -247,6 +247,33 @@ def test_table_matches_the_kernels():
     assert mismatches == []
 
 
+def test_each_kernel_refuses_in_its_table_rows_words():
+    # a bare kernel refuses a shape with its row's own domain predicate;
+    # a mirrored row's kernel refuses through its base row's predicate at
+    # the mirrored shape, and core3's kernel raises ShapeError
+    base = {mirror: s for s, mirror in dispatch.MIRRORS.items()}
+    mismatches = []
+    for s in CONCRETE:
+        kernel = kernel_for(s)
+        for l, n, m in itertools.product(range(1, 7), repeat=3):
+            if s in base:
+                want = dispatch._TABLE[base[s]].domain(m, n, l)
+            else:
+                want = dispatch._TABLE[s].domain(l, n, m)
+            if s is Strategy.CORE3 and want is not None:
+                want = ShapeError
+            try:
+                kernel(Matrix.zeros(ZZ, l, n), Matrix.zeros(ZZ, n, m))
+                got = None
+            except UnsupportedShape as e:
+                got = str(e)
+            except ShapeError:
+                got = ShapeError
+            if got != want:
+                mismatches.append((s, l, n, m, got, want))
+    assert mismatches == []
+
+
 def test_each_strategy_has_one_table_row_holding_its_kernel():
     assert set(dispatch._TABLE) == set(CONCRETE)
     assert TIE_ORDER == tuple(dispatch._TABLE)

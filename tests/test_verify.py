@@ -41,6 +41,18 @@ from ringmul import (
         (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
         (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
         (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
+        # fold seams past FOLD_CAP = 32 terms, beyond the clipped verify
+        # grid; general's n = 69 leaves a 66-wide remainder, whose 33-term
+        # folds split (n = 67 would leave exactly 32, which never splits)
+        (Strategy.NAIVE, (2, 33, 2)),
+        (Strategy.NAIVE, (2, 65, 2)),
+        (Strategy.WINOGRAD_EVEN, (2, 66, 2)),
+        (Strategy.WAKSMAN_EVEN, (2, 66, 3)),
+        (Strategy.WAKSMAN_ODD, (2, 67, 2)),
+        (Strategy.GENERAL_ODD, (3, 69, 4)),
+        (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
+        (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
     ],
 )
 def test_symbolic_identities_hold(strategy, shape):
