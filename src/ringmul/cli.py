@@ -21,9 +21,10 @@ polynomial expansion costs the most; at the default 3,7,6 each suite
 runs 417 checks.
 
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
-3 capability error.  No environment variables are consulted; the
-default seed is 0.  Integer entries of any size round-trip exactly:
-mul lifts the interpreter's 4300-digit int/str limit while it runs.
+3 capability error: the chosen strategy cannot run this shape or over
+this ring.  No environment variables are consulted; the default seed
+is 0.  Integer entries of any size round-trip exactly: mul lifts the
+interpreter's 4300-digit int/str limit while it runs.
 
 Start-up loads only what mul runs: ringmul.verify (and with it
 ringmul.polynomials) is imported by the verify helpers, and random and
@@ -39,7 +40,7 @@ import json
 import sys
 import time
 
-from .dispatch import MIRRORS, Strategy, applicable, kernel_for, multiply, predict_count
+from .dispatch import MIRRORS, Strategy, applicable, multiply, predict_count
 from .errors import (
     CountMismatch,
     ExactHalveUnavailable,
@@ -63,6 +64,10 @@ _SYMBOLIC_CAP = (4, 7, 7)
 
 class _InputError(Exception):
     """Malformed input from a file or a flag; main reports it and exits 2."""
+
+
+class _Refusal(Exception):
+    """A strategy that cannot run on these operands; main reports it and exits 3."""
 
 
 def _is_int(v):
@@ -197,6 +202,22 @@ def _ring_modulus(spec):
     return modulus
 
 
+def _multiply(A, B, strategy):
+    """multiply(A, B, strategy) for every command, each refusal of the
+    strategy raised as _Refusal.  multiply is looked up by name on each
+    call, so patching cli.multiply reaches every command's products."""
+    try:
+        return multiply(A, B, strategy)
+    except UnsupportedShape as e:
+        l, n, m = A.rows, A.cols, B.cols
+        mirror = MIRRORS.get(strategy)
+        covers = mirror and applicable(mirror, l, n, m, A.ring.supports_halving)
+        hint = f"; {mirror.value} covers it" if covers else ""
+        raise _Refusal(f"strategy {strategy.value} does not cover {l}x{n} times {n}x{m}: {e}{hint}") from None
+    except ExactHalveUnavailable as e:
+        raise _Refusal(f"ring {A.ring.name} lacks a capability needed by {strategy.value}: {e}") from None
+
+
 @_int_digits_unlimited()
 def cmd_mul(args):
     ra, ca, ea, mod_a = _load_matrix_file(args.a)
@@ -215,16 +236,7 @@ def cmd_mul(args):
     A = Matrix(ring, ra, ca, [ring.from_int(v) for v in ea])
     B = Matrix(ring, rb, cb, [ring.from_int(v) for v in eb])
 
-    strategy = Strategy(args.strategy)
-    try:
-        product, report = multiply(A, B, strategy)
-    except UnsupportedShape as e:
-        mirror = MIRRORS.get(strategy)
-        hint = f"; {mirror.value} covers it" if mirror and applicable(mirror, ra, ca, cb, True) else ""
-        return _fail(3, f"strategy {args.strategy} does not cover {ra}x{ca} times {rb}x{cb}: {e}{hint}")
-    except ExactHalveUnavailable as e:
-        return _fail(3, f"ring {ring.name} lacks a capability needed by {args.strategy}: {e}")
-
+    product, report = _multiply(A, B, Strategy(args.strategy))
     payload = _matrix_json(product, modulus)
     if args.out:
         try:
@@ -377,7 +389,10 @@ def cmd_verify(args):
 
 def _bench_ring(spec):
     if spec.startswith("int:"):
-        bits = int(spec[4:], 10)
+        try:
+            bits = int(spec[4:], 10)
+        except ValueError:
+            bits = 0
         if bits < 1:
             raise _InputError(f"bad bit size in {spec!r}")
         return IntegerRing(), lambda rng: rng.getrandbits(bits) - (1 << (bits - 1))
@@ -385,6 +400,9 @@ def _bench_ring(spec):
         ring = ModularRing(_ring_modulus(spec))
         return ring, lambda rng: ring.from_int(rng.randrange(ring.modulus))
     raise _InputError(f"bad ring spec {spec!r} (use int:BITS or mod:P)")
+
+
+_BENCH_COLUMNS = ("strategy", "l", "n", "m", "reps", "first_s", "median_s", "spread_s")
 
 
 @_int_digits_unlimited()
@@ -395,20 +413,9 @@ def cmd_bench(args):
     if args.reps < 1:
         return _fail(2, f"--reps must be >= 1, got {args.reps}")
     l, n, m = _parse_triple(args.shape, "--shape")
-    try:
-        ring, draw = _bench_ring(args.ring)
-    except ValueError as e:  # int:BITS with a non-integer BITS
-        return _fail(2, str(e))
-
+    ring, draw = _bench_ring(args.ring)
     if args.strategy:
-        strategy = Strategy(args.strategy)
-        try:
-            predict_count(strategy, l, n, m)
-        except UnsupportedShape as e:
-            return _fail(2, f"shape ({l},{n},{m}) unsupported by {args.strategy}: {e}")
-        if not applicable(strategy, l, n, m, ring.supports_halving):
-            return _fail(3, f"ring {ring.name} lacks exact halving needed by {args.strategy}")
-        strategies = [strategy]
+        strategies = [Strategy(args.strategy)]
     else:
         strategies = [s for s in _CONCRETE if applicable(s, l, n, m, ring.supports_halving)]
 
@@ -418,29 +425,18 @@ def cmd_bench(args):
 
     rows = []
     for s in strategies:
-        kernel = kernel_for(s)
         times = []
         # one call more than --reps: the first pays one-off costs, such as
-        # generating inner-product code, and is reported on its own
+        # counting the kernel at this shape and generating inner-product
+        # code, and is reported on its own
         for _ in range(args.reps + 1):
-            # through the ring's hook, as multiply runs it
             t0 = time.perf_counter()
-            ring.run(kernel, A, B)
+            _multiply(A, B, s)
             times.append(time.perf_counter() - t0)
         first, *times = times
-        rows.append(
-            {
-                "strategy": s.value,
-                "l": l,
-                "n": n,
-                "m": m,
-                "reps": args.reps,
-                "first_s": first,
-                "median_s": statistics.median(times),
-                "spread_s": max(times) - min(times),
-            }
-        )
-    _print_rows(rows, ("strategy", "l", "n", "m", "reps", "first_s", "median_s", "spread_s"), args.format)
+        row = (s.value, l, n, m, args.reps, first, statistics.median(times), max(times) - min(times))
+        rows.append(dict(zip(_BENCH_COLUMNS, row)))
+    _print_rows(rows, _BENCH_COLUMNS, args.format)
     return 0
 
 
@@ -504,7 +500,7 @@ def main(argv=None):
         return args.func(args)
     except (_InputError, ShapeError) as e:
         return _fail(2, str(e))
-    except ExactHalveUnavailable as e:
+    except (_Refusal, ExactHalveUnavailable) as e:
         return _fail(3, str(e))
 
 

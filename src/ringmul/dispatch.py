@@ -59,10 +59,6 @@ def _exact_half(v):
     return q
 
 
-def _core3_domain(l, n, m):
-    return None if (n, m) == (3, 3) else f"covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
-
-
 def _general_count(l, n, m):
     return _exact_half(n * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
 
@@ -100,8 +96,8 @@ def _mirrored(row):
 
 
 #: Kernel, domain, count formula and halving need of each concrete
-#: strategy, one row each.  Each domain but naive's and core3's is the
-#: predicate that its kernel refuses through.  The rows are in tie order:
+#: strategy, one row each.  Each domain but naive's is the predicate
+#: that its kernel refuses through.  The rows are in tie order:
 #: among applicable strategies with the same predicted count,
 #: choose_strategy takes the first row.  naive comes first, so at equal
 #: counts `auto` runs the textbook product, which spends the fewest
@@ -111,7 +107,7 @@ def _mirrored(row):
 _TABLE = {
     Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
     Strategy.GENERAL_ODD: _Row(general.mul_odd_n, general.odd_n_wide, _general_count, 3),
-    Strategy.CORE3: _Row(general.mul_n3_33, _core3_domain, lambda l, n, m: 6 * l + 3, None),
+    Strategy.CORE3: _Row(general.mul_n3_33, general.n3_m3, lambda l, n, m: 6 * l + 3, None),
     Strategy.WAKSMAN_EVEN: _Row(
         baseline.waksman_even,
         baseline.even_n,

@@ -211,11 +211,15 @@ def core3_times_3xm(A1, B1):
     return Matrix(A1.ring, l, m, out)
 
 
+def n3_m3(l, n, m):
+    """Why (l, n, m) is outside mul_n3_33's domain, or None."""
+    return None if (n, m) == (3, 3) else f"covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
+
+
 def mul_n3_33(A, B):
     """n x 3 times 3 x 3 in exactly 6n + 3 multiplications: core3_times_3xm
-    at m = 3."""
-    if B.cols != 3:
-        raise ShapeError(f"B must have 3 columns, got {B.cols}")
+    at m = 3.  Domain: n3_m3."""
+    baseline._check_domain(n3_m3, A, B)
     return core3_times_3xm(A, B)
 
 

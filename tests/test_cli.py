@@ -150,6 +150,7 @@ _ONE = "1 1\n2\n"
         pytest.param(None, ["bench", "--shape", "1,x,1"], "--shape", id="shape-not-integer"),
         pytest.param(None, ["bench", "--shape", "1,0,1"], "--shape", id="shape-zero"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:0"], "int:0", id="bench-ring-zero-bits"),
+        pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:x"], "int:x", id="bench-ring-bits-not-integer"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "mod:1"], "mod:1", id="bench-ring-modulus-below-2"),
     ],
 )
@@ -204,6 +205,53 @@ def test_mul_refusal_names_the_mirrored_row(tmp_path, capsys):
     assert code == 3
     assert "general-transposed needs l >= 3, got 2" in stderr
     assert "covers it" not in stderr
+
+
+_P64 = f"mod:{2**64}"
+
+
+@pytest.mark.parametrize(
+    "strategy,shape,ring,error",
+    [
+        pytest.param(
+            "core3",
+            (2, 4, 3),
+            "int",
+            "strategy core3 does not cover 2x4 times 4x3: core3 covers (l, 3, 3) shapes only, got (2, 4, 3)",
+            id="core3-int",
+        ),
+        pytest.param(
+            "general",
+            (3, 5, 2),
+            "int",
+            "strategy general does not cover 3x5 times 5x2: general needs m >= 3, got 2; general-transposed covers it",
+            id="general-int-with-hint",
+        ),
+        # general-transposed halves at n = 5, which 2^64 cannot, so no hint
+        pytest.param(
+            "general",
+            (3, 5, 2),
+            _P64,
+            "strategy general does not cover 3x5 times 5x2: general needs m >= 3, got 2",
+            id="general-mod2_64-without-hint",
+        ),
+        pytest.param(
+            "waksman-even",
+            (2, 4, 3),
+            "mod:6",
+            "ring mod6 lacks a capability needed by waksman-even: ring mod6 lacks exact halving",
+            id="waksman-even-mod6",
+        ),
+    ],
+)
+def test_mul_and_bench_refuse_a_strategy_in_one_line_with_exit_3(tmp_path, capsys, strategy, shape, ring, error):
+    l, n, m = shape
+    a = _write(tmp_path / "a.txt", _text_file([[1] * n] * l))
+    b = _write(tmp_path / "b.txt", _text_file([[1] * m] * n))
+    mul = _run(capsys, ["mul", "--a", a, "--b", b, "--ring", ring, "--strategy", strategy])
+    bench_ring = "int:64" if ring == "int" else ring
+    bench = _run(capsys, ["bench", "--shape", f"{l},{n},{m}", "--ring", bench_ring, "--strategy", strategy])
+    assert mul == bench == (3, "", f"error: {error}\n")
 
 
 def test_mul_auto_runs_the_mirrored_row_where_it_is_cheaper(tmp_path, capsys):
@@ -397,6 +445,26 @@ def test_mul_matches_multiply_and_is_deterministic(tmp_path, capsys, case):
     assert [int(v) for v in got["data"]] == want
 
 
+def test_verify_random_exits_1_with_witness_on_wrong_kernel(capsys, monkeypatch):
+    # simulate a mutated build: waksman-odd gets its first entry wrong
+    original = dispatch._TABLE[Strategy.WAKSMAN_ODD].kernel
+
+    def wrong(A, B):
+        out = original(A, B)
+        return Matrix(out.ring, out.rows, out.cols, [out.data[0] + 1, *out.data[1:]])
+
+    monkeypatch.setitem(dispatch._TABLE, Strategy.WAKSMAN_ODD, dispatch._TABLE[Strategy.WAKSMAN_ODD]._replace(kernel=wrong))
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "random", "--max-shape", "1,2,2"])
+    assert code == 1
+    summary = json.loads(stdout)
+    assert summary["ok"] is False
+    failing = summary["suites"]["random"]["failures"]
+    assert failing and {f["strategy"] for f in failing} == {"waksman-odd"}
+    witness = failing[0]["witness"]
+    assert set(witness) == {"a", "b", "got", "want"}
+    assert witness["got"] != witness["want"]
+
+
 def test_verify_exits_1_with_witness_on_broken_kernel(capsys, monkeypatch):
     # simulate a mutated build: naive suddenly performs an extra multiply
     import ringmul.dispatch as dispatch
@@ -577,8 +645,8 @@ def test_bench_modular_even_inner(capsys):
 
 
 def test_bench_modular_times_the_multiply_path(capsys, monkeypatch):
-    # bench runs each kernel through the ring's hook, as multiply does,
-    # so over residues it runs no residue operator
+    # bench times multiply, which runs each kernel through the ring's
+    # hook, so over residues it runs no residue operator
     def refuse(*args):
         raise AssertionError("residue operator on the bench path")
 
@@ -615,6 +683,23 @@ def test_bench_reports_the_first_call_apart(capsys, monkeypatch):
     assert row["first_s"] > 0 and row["median_s"] > 0 and row["spread_s"] >= 0
 
 
+def test_bench_times_multiply_through_its_module_level_name(capsys, monkeypatch):
+    # every timed call is the CLI's module-level multiply, looked up per call
+    calls = []
+    multiply = cli.multiply
+
+    def counted(A, B, strategy):
+        calls.append(strategy)
+        return multiply(A, B, strategy)
+
+    monkeypatch.setattr(cli, "multiply", counted)
+    argv = ["bench", "--shape", "2,4,3", "--ring", "mod:101", "--reps", "2", "--format", "json"]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    timed = [Strategy(row["strategy"]) for row in json.loads(stdout)]
+    assert calls == [s for s in timed for _ in range(3)]
+
+
 def test_bench_accepts_a_modulus_beyond_4300_digits(capsys):
     # bench parses the same ring spec that mul accepts, under the same lifted limit
     with _digits_unlimited():
@@ -624,10 +709,10 @@ def test_bench_accepts_a_modulus_beyond_4300_digits(capsys):
     assert {"naive", "general"} <= {row["strategy"] for row in json.loads(stdout)}
 
 
-def test_bench_unsupported_explicit_strategy_exit_2(capsys):
+def test_bench_unsupported_explicit_strategy_exit_3(capsys):
     code, _, stderr = _run(capsys, ["bench", "--shape", "2,4,3", "--strategy", "core3"])
-    assert code == 2
-    assert "unsupported" in stderr
+    assert code == 3
+    assert "strategy core3 does not cover 2x4 times 4x3" in stderr
 
 
 def test_bench_capability_mismatch_exit_3(capsys):
