@@ -47,7 +47,7 @@ Additions per product, as exact tallies of ``+``, ``-`` and unary minus:
 
 from __future__ import annotations
 
-from .errors import ExactHalveUnavailable, ShapeError, UnsupportedShape
+from .errors import ShapeError, UnsupportedShape
 from .matrices import Matrix
 from .rings import halve_exact
 
@@ -223,8 +223,6 @@ def waksman_even(A, B):
     """
     _check_domain(even_n, A, B)
     n = A.cols
-    if not A.ring.supports_halving:
-        raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
     paired, split = _fold("paired", n // 2)
     both, _ = _fold("sign_split", n // 2)  # its split is paired's: same width and length
     m = B.cols

@@ -500,7 +500,7 @@ def main(argv=None):
         return args.func(args)
     except (_InputError, ShapeError) as e:
         return _fail(2, str(e))
-    except (_Refusal, ExactHalveUnavailable) as e:
+    except _Refusal as e:
         return _fail(3, str(e))
 
 

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import baseline, general
-from .errors import UnsupportedShape
+from .errors import ExactHalveUnavailable, UnsupportedShape
 from .matrices import Matrix
 from .rings import ZZ, tally
 
@@ -71,7 +71,9 @@ class _Row(NamedTuple):
     kernel: Callable  # (A, B) -> A*B; multiply's audit keys on this object
     domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None; no name
     count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
-    halves_above: int | None  # the kernel halves when n exceeds this; None: never
+    # the kernel halves when n exceeds this (None: never); there, over a
+    # ring without exact halving, multiply refuses the row, not the kernel
+    halves_above: int | None
 
 
 def _mirrored(row):
@@ -227,6 +229,8 @@ def multiply(A, B, strategy=Strategy.AUTO):
     if strategy is Strategy.AUTO:
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
     predicted = predict_count(strategy, l, n, m)
+    if not (A.ring.supports_halving or applicable(strategy, l, n, m, False)):
+        raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
     kernel = kernel_for(strategy)
     observed = _observed(_TABLE[strategy].kernel, l, n, m)
     return A.ring.run(kernel, A, B), CostReport(strategy, l, n, m, predicted, observed)

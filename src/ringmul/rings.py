@@ -63,7 +63,9 @@ class Ring:
 
         `dispatch.multiply` runs every kernel through this hook, so that
         a ring whose elements have a cheaper exact stand-in can run the
-        kernel on the stand-in instead (see ModularRing.run).
+        kernel on the stand-in instead (see ModularRing.run).  The hook
+        only computes: which strategy may run over the ring is decided
+        before it, by multiply from the strategy table.
         """
         return program(A, B)
 
@@ -74,15 +76,11 @@ class Ring:
 class IntegerRing(Ring):
     """Arbitrary-precision signed integers, the default exact ring.
 
-    sample_span bounds the magnitude of random_element draws; arithmetic
-    itself never overflows.
+    random_element draws from -99..99; arithmetic itself never overflows.
     """
 
     name = "int"
     supports_halving = True
-
-    def __init__(self, sample_span=99):
-        self.sample_span = sample_span
 
     def zero(self):
         return 0
@@ -94,7 +92,7 @@ class IntegerRing(Ring):
         return int(k)
 
     def random_element(self, rng):
-        return rng.randint(-self.sample_span, self.sample_span)
+        return rng.randint(-99, 99)
 
 
 #: Shared default integer ring instance.
@@ -182,18 +180,6 @@ class Mod:
         return f"Mod({self.value}, {self.modulus})"
 
 
-class _Representatives(IntegerRing):
-    """Plain integers under another ring's name and halving capability,
-    so that a kernel run on them accepts and refuses exactly what it does
-    over that ring: ModularRing.run's stand-in for a residue ring's
-    elements."""
-
-    def __init__(self, ring):
-        super().__init__()
-        self.name = ring.name
-        self.supports_halving = ring.supports_halving
-
-
 class ModularRing(Ring):
     """Integers modulo a fixed modulus >= 2."""
 
@@ -202,7 +188,6 @@ class ModularRing(Ring):
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.name = f"mod{modulus}"
-        self._integers = _Representatives(self)
 
     @property
     def supports_halving(self):
@@ -213,17 +198,19 @@ class ModularRing(Ring):
         once per output entry.
 
         The kernels are straight-line programs of ``+``, ``-``, unary
-        minus, ``*`` and exact halving, and reduction mod m commutes with
-        each of them: a kernel halves only integers of the form y + y,
-        and only where m is odd, since the integers carry this ring's
-        halving capability.  So the reduced integer result is the residue
-        result, for the price of one reduction per output entry instead
-        of one per operation.  Each output entry is built by the Mod
-        constructor; at a power-of-two modulus the mask reduces it first,
-        since at 2^4096 a ``%`` of a product costs about 36 µs against under
-        1 µs for the mask, and the constructor's ``%`` of a reduced value
-        costs little.  Each input entry must be a Mod of this modulus:
-        TypeError for anything else, ValueError for another modulus.
+        minus, ``*`` and exact halving.  Over the integers each halving
+        takes a value of the form y + y, so it is exact, and reduction
+        mod m is a ring map: the reduced integer result is the true
+        product mod m at any m, even or odd, for the price of one
+        reduction per output entry instead of one per operation.  That a
+        halving schedule is refused at an even modulus is
+        dispatch.multiply's policy, read from the strategy table.  Each
+        output entry is built by the Mod constructor; at a power-of-two
+        modulus the mask reduces it first, since at 2^4096 a ``%`` of a
+        product costs about 36 µs against under 1 µs for the mask, and
+        the constructor's ``%`` of a reduced value costs little.  Each
+        input entry must be a Mod of this modulus: TypeError for anything
+        else, ValueError for another modulus.
         """
         C = program(self._lower(A), self._lower(B))
         m = self.modulus
@@ -235,7 +222,7 @@ class ModularRing(Ring):
         return Matrix(self, C.rows, C.cols, out)
 
     def _lower(self, matrix):
-        """The matrix of the entries' integer values, over self._integers."""
+        """The matrix of the entries' integer values, over ZZ."""
         m = self.modulus
         data = matrix.data
         values = [e.value for e in data if isinstance(e, Mod) and e.modulus == m]
@@ -244,7 +231,7 @@ class ModularRing(Ring):
             if not isinstance(bad, Mod):
                 raise TypeError(f"{type(bad).__name__} entry in a matrix over {self.name}")
             raise ValueError(f"mixed moduli {m} and {bad.modulus}")
-        return Matrix(self._integers, matrix.rows, matrix.cols, values)
+        return Matrix(ZZ, matrix.rows, matrix.cols, values)
 
     def zero(self):
         return Mod(0, self.modulus)
@@ -319,14 +306,12 @@ class IntMat2:
 
 
 class Mat2Ring(Ring):
-    """Ring of 2x2 integer matrices (non-commutative)."""
+    """Ring of 2x2 integer matrices (non-commutative); random draws take
+    each entry from -2..2."""
 
     name = "mat2"
     commutative = False
     supports_halving = True
-
-    def __init__(self, sample_span=2):
-        self.sample_span = sample_span
 
     def zero(self):
         return IntMat2(0, 0, 0, 0)
@@ -339,15 +324,11 @@ class Mat2Ring(Ring):
         return IntMat2(k, 0, 0, k)
 
     def random_element(self, rng):
-        s = self.sample_span
-        return IntMat2(
-            rng.randint(-s, s), rng.randint(-s, s), rng.randint(-s, s), rng.randint(-s, s)
-        )
+        return IntMat2(*(rng.randint(-2, 2) for _ in range(4)))
 
     def random_diagonal(self, rng):
         """Sample from the commutative subring of diagonal matrices."""
-        s = self.sample_span
-        return IntMat2(rng.randint(-s, s), 0, 0, rng.randint(-s, s))
+        return IntMat2(rng.randint(-2, 2), 0, 0, rng.randint(-2, 2))
 
 
 class MulTally:

@@ -208,7 +208,7 @@ class NoncommutativeWitness(NamedTuple):
     differing_entries: list
 
 
-def noncommutative_witness(seed=0, attempts=64, sample_span=2):
+def noncommutative_witness(seed=0, attempts=64):
     """Search for a pair of 3x3 matrices over 2x2 integer matrices where
     the fast 3x3 schedule disagrees with the textbook product.
 
@@ -216,7 +216,7 @@ def noncommutative_witness(seed=0, attempts=64, sample_span=2):
     is exhausted, which would mean the schedule does not actually exploit
     commutativity.
     """
-    ring = Mat2Ring(sample_span=sample_span)
+    ring = Mat2Ring()
     rng = random.Random(seed)
     for attempt in range(attempts):
         A = random_matrix(ring, 3, 3, rng)

@@ -28,6 +28,7 @@ from ringmul import (
     predict_count,
     random_matrix,
     tally,
+    waksman_even,
 )
 from ringmul.dispatch import TIE_ORDER, applicable
 
@@ -587,6 +588,45 @@ def test_even_modulus_refuses_halving_on_every_call(strategy, shape, first):
             multiply(A, B, strategy)
         assert str(refused.value) == "ring mod8 lacks exact halving"
         assert "counted(" not in str(refused.value)
+
+
+@pytest.mark.parametrize("modulus", [4, 2**64])
+def test_multiply_refuses_halving_from_the_table_before_any_run(modulus, monkeypatch):
+    # the table alone decides: neither the count replay nor the product
+    # run is reached, and a refused call caches nothing
+    def never(*args):
+        raise AssertionError("ran a refused strategy")
+
+    monkeypatch.setattr(dispatch, "tally", never)
+    monkeypatch.setattr(ModularRing, "run", never)
+    ring = ModularRing(modulus)
+    rng = random.Random(26)
+    halving = [s for s in CONCRETE if dispatch._TABLE[s].halves_above is not None]
+    assert len(halving) == 4
+    refused = 0
+    for s in halving:
+        for l, n, m in itertools.product(range(1, 7), repeat=3):
+            if applicable(s, l, n, m, True) and not applicable(s, l, n, m, False):
+                dispatch._observed.cache_clear()
+                with pytest.raises(ExactHalveUnavailable) as e:
+                    multiply(*_random_pair(ring, l, n, m, rng), s)
+                assert str(e.value) == f"ring mod{modulus} lacks exact halving"
+                assert dispatch._observed.cache_info().currsize == 0
+                refused += 1
+    assert refused > 100
+
+
+def test_even_modulus_hook_gives_the_exact_product_and_the_bare_kernel_refuses():
+    # over the integers every halving is exact and reduction mod 8 is a
+    # ring map, so the hook's result is the residue product; Mod's own
+    # halving still refuses at an even modulus
+    ring = ModularRing(8)
+    A, B = _random_pair(ring, 3, 4, 5, random.Random(27))
+    C = ring.run(waksman_even, A, B)
+    assert C.ring is ring
+    assert [e.value for e in C.data] == _textbook_mod(A, B, 8)
+    with pytest.raises(ExactHalveUnavailable, match="^2 is not invertible mod 8$"):
+        waksman_even(A, B)
 
 
 def _with_entry(matrix, index, entry):

@@ -1,7 +1,12 @@
+import linecache
 import random
+import sys
 
 import pytest
 
+import ringmul.baseline as baseline
+import ringmul.dispatch as dispatch
+import ringmul.general as general
 from ringmul import (
     CountMismatch,
     Mat2Ring,
@@ -11,11 +16,14 @@ from ringmul import (
     Strategy,
     TermBudgetExceeded,
     WitnessNotFound,
+    ZZ,
     cli,
     count_audit,
+    kernel_for,
     mul_33_33,
     naive,
     noncommutative_witness,
+    random_matrix,
     randomized_check,
     symbolic_verify,
     taint_audit,
@@ -25,39 +33,91 @@ from ringmul import (
 # symbolic verification
 
 
-@pytest.mark.parametrize(
-    "strategy,shape",
-    [
-        (Strategy.CORE3, (1, 3, 3)),
-        (Strategy.CORE3, (4, 3, 3)),
-        (Strategy.GENERAL_ODD, (2, 3, 5)),
-        (Strategy.GENERAL_ODD, (2, 5, 4)),
-        (Strategy.GENERAL_ODD, (3, 7, 6)),
-        (Strategy.WAKSMAN_EVEN, (2, 4, 2)),
-        (Strategy.WINOGRAD_EVEN, (2, 2, 3)),
-        (Strategy.WAKSMAN_ODD, (3, 3, 3)),
-        (Strategy.WAKSMAN_ODD, (2, 5, 3)),
-        (Strategy.NAIVE, (2, 3, 2)),
-        (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
-        (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
-        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
-        # fold seams past FOLD_CAP = 32 terms, beyond the clipped verify
-        # grid; general's n = 69 leaves a 66-wide remainder, whose 33-term
-        # folds split (n = 67 would leave exactly 32, which never splits)
-        (Strategy.NAIVE, (2, 33, 2)),
-        (Strategy.NAIVE, (2, 65, 2)),
-        (Strategy.WINOGRAD_EVEN, (2, 66, 2)),
-        (Strategy.WAKSMAN_EVEN, (2, 66, 3)),
-        (Strategy.WAKSMAN_ODD, (2, 67, 2)),
-        (Strategy.GENERAL_ODD, (3, 69, 4)),
-        (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
-        (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
-        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
-    ],
-)
+#: One entry per schedule case that the symbolic proof and the kernels'
+#: line coverage both walk.
+SCHEDULE_CASES = [
+    (Strategy.CORE3, (1, 3, 3)),
+    (Strategy.CORE3, (4, 3, 3)),
+    (Strategy.GENERAL_ODD, (2, 3, 5)),
+    (Strategy.GENERAL_ODD, (2, 5, 4)),
+    (Strategy.GENERAL_ODD, (3, 7, 6)),
+    (Strategy.WAKSMAN_EVEN, (2, 4, 2)),
+    (Strategy.WINOGRAD_EVEN, (2, 2, 3)),
+    (Strategy.WAKSMAN_ODD, (3, 3, 3)),
+    (Strategy.WAKSMAN_ODD, (2, 5, 3)),
+    (Strategy.NAIVE, (2, 3, 2)),
+    (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
+    (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
+    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
+    # fold seams past FOLD_CAP = 32 terms, beyond the clipped verify
+    # grid; general's n = 69 leaves a 66-wide remainder, whose 33-term
+    # folds split (n = 67 would leave exactly 32, which never splits)
+    (Strategy.NAIVE, (2, 33, 2)),
+    (Strategy.NAIVE, (2, 65, 2)),
+    (Strategy.WINOGRAD_EVEN, (2, 66, 2)),
+    (Strategy.WAKSMAN_EVEN, (2, 66, 3)),
+    (Strategy.WAKSMAN_ODD, (2, 67, 2)),
+    (Strategy.GENERAL_ODD, (3, 69, 4)),
+    (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
+    (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
+    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
+    (Strategy.WAKSMAN_ODD, (2, 1, 3)),  # n = 1: naive alone
+]
+
+
+@pytest.mark.parametrize("strategy,shape", SCHEDULE_CASES)
 def test_symbolic_identities_hold(strategy, shape):
     report = symbolic_verify(strategy, *shape)
     assert report.ok, report.describe()
+
+
+def _lines_run(cases):
+    """Each case's kernel run once on random integers, traced: the code
+    objects of baseline.py and general.py that it entered, and the
+    (code, line) pairs that ran."""
+    files = {baseline.__file__, general.__file__}
+    entered, ran = set(), set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        entered.add(frame.f_code)
+        return local
+
+    rng = random.Random(28)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for strategy, (l, n, m) in cases:
+            kernel_for(strategy)(random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng))
+    finally:
+        sys.settrace(previous)
+    return entered, ran
+
+
+def test_every_line_of_every_kernel_function_runs(monkeypatch):
+    # the cases reach every line of the kernel code they enter, but for
+    # raises and the domain predicates' reasons, which no kernel run on
+    # its own domain can reach; an empty fold cache makes each fold's
+    # generating code run too
+    monkeypatch.setattr(baseline, "_FOLDS", {})
+    entered, ran = _lines_run(SCHEDULE_CASES)
+    domains = {row.domain.__code__ for row in dispatch._TABLE.values()}
+    missed = []
+    for code in entered:
+        source = linecache.getlines(code.co_filename)
+        for line in {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}:
+            text = source[line - 1].strip()
+            exempt = text.startswith("raise ") or (code in domains and text.startswith("return f"))
+            if not exempt and (code, line) not in ran:
+                missed.append(f"{code.co_name} line {line}: {text}")
+    assert missed == []
+    assert {c.co_name for c in entered} >= {"naive", "waksman_odd", "core3_times_3xm", "split"}
 
 
 def test_symbolic_rejects_unsupported_shape():
