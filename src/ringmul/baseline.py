@@ -3,10 +3,11 @@
 naive is the textbook product and serves as the correctness oracle for
 everything else.  winograd_even and waksman_even are the classical
 commutative inner-product schemes for even inner dimension (Waksman's
-saves the final n/2 products at the price of exact halvings);
-waksman_odd extends the even scheme to odd inner dimension with a
-rank-one update and is the comparator the count tables are measured
-against.
+saves the final n/2 products at the price of exact halvings).
+waksman_odd, the comparator the count tables are measured against, is
+a split (inner_split): naive's rank-one update on A's first column plus
+waksman_even on the other n - 1.  The odd-n kernels of ringmul.general
+are the same split with a 3-column lead block.
 
 Multiplication counts (l x n times n x m):
 
@@ -73,6 +74,30 @@ def _check_domain(domain, A, B):
     reason = domain(A.rows, A.cols, B.cols)
     if reason is not None:
         raise UnsupportedShape(reason)
+
+
+def inner_split(domain, lead, width, rest):
+    """The kernel lead(A1, B1) + rest(A2, B2) on A = [A1 | A2] and
+    B = [B1 over B2], split after `width` columns of A and rows of B.
+
+    Correct wherever its parts are, as AB = A1*B1 + A2*B2 over any ring;
+    it spends the parts' operations plus l*m additions for the sum.  It
+    refuses through domain and runs lead alone at n == width.  Its
+    `parts`, (domain, lead, width, rest), give ringmul.dispatch its row.
+    """
+
+    def lead_plus_rest(A, B):
+        """lead on A's first `width` columns plus rest on the others; see inner_split."""
+        _check_domain(domain, A, B)
+        n = A.cols
+        if n == width:
+            return lead(A, B)
+        A1, A2 = A.slice_cols(0, width), A.slice_cols(width, n)
+        B1, B2 = B.slice_rows(0, width), B.slice_rows(width, n)
+        return lead(A1, B1) + rest(A2, B2)
+
+    lead_plus_rest.parts = (domain, lead, width, rest)
+    return lead_plus_rest
 
 
 #: The longest fold, in terms, that one generated function spells out.
@@ -244,17 +269,5 @@ def waksman_even(A, B):
     return Matrix(A.ring, A.rows, m, out)
 
 
-def waksman_odd(A, B):
-    """Odd inner dimension: even-part schedule plus a rank-one update.
-
-    Splits n = (n-1) + 1, runs waksman_even on the even part and adds
-    naive's product of A's last column with B's last row (l*m
-    multiplications), for (n-1)(lm+l+m-1)/2 + lm in total; n = 1 is
-    naive alone.  Domain: odd_n.
-    """
-    _check_domain(odd_n, A, B)
-    n = A.cols
-    if n == 1:
-        return naive(A, B)
-    rank1 = naive(A.slice_cols(n - 1, n), B.slice_rows(n - 1, n))
-    return waksman_even(A.slice_cols(0, n - 1), B.slice_rows(0, n - 1)) + rank1
+#: Domain: odd_n; at n = 1, naive alone.
+waksman_odd = inner_split(odd_n, naive, 1, waksman_even)

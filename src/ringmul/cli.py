@@ -215,7 +215,7 @@ def _multiply(A, B, strategy):
         hint = f"; {mirror.value} covers it" if covers else ""
         raise _Refusal(f"strategy {strategy.value} does not cover {l}x{n} times {n}x{m}: {e}{hint}") from None
     except ExactHalveUnavailable as e:
-        raise _Refusal(f"ring {A.ring.name} lacks a capability needed by {strategy.value}: {e}") from None
+        raise _Refusal(f"{strategy.value} needs exact halving: {e}") from None
 
 
 @_int_digits_unlimited()
@@ -393,8 +393,8 @@ def _bench_ring(spec):
             bits = int(spec[4:], 10)
         except ValueError:
             bits = 0
-        if bits < 1:
-            raise _InputError(f"bad bit size in {spec!r}")
+        if not 1 <= bits < 2**31:  # random.getrandbits takes a C int
+            raise _InputError(f"bad bit size in {spec!r} (use 1 to {2**31 - 1})")
         return IntegerRing(), lambda rng: rng.getrandbits(bits) - (1 << (bits - 1))
     if spec.startswith("mod:"):
         ring = ModularRing(_ring_modulus(spec))

@@ -59,12 +59,9 @@ def _exact_half(v):
     return q
 
 
-def _general_count(l, n, m):
-    return _exact_half(n * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
-
-
-def _winograd_count(l, n, m):
-    return _exact_half(n * (l * m + l + m))
+def _core3_count(l, m):
+    """core3_times_3xm's count at l x 3 x m, m >= 3: 6l + 3 at m = 3."""
+    return _exact_half(3 * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
 
 
 class _Row(NamedTuple):
@@ -97,9 +94,40 @@ def _mirrored(row):
     )
 
 
+def _split(kernel):
+    """The row of a kernel that baseline.inner_split built from (domain,
+    lead, width, rest): its count is lead's at (l, width, m) plus, when
+    n > width, rest's at (l, n - width, m), and it halves where rest
+    does, width columns further on.  lead never halves.
+    """
+    domain, lead, width, rest = kernel.parts
+    lead, rest = _PARTS[lead], _PARTS[rest]
+
+    def count(l, n, m):
+        return lead.count(l, width, m) + (rest.count(l, n - width, m) if n > width else 0)
+
+    above = rest.halves_above
+    return _Row(kernel, domain, count, None if above is None else width + above)
+
+
+_NAIVE = _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None)
+_CORE3 = _Row(general.mul_n3_33, general.n3_m3, lambda l, n, m: _core3_count(l, m), None)
+_WAKSMAN_EVEN = _Row(
+    baseline.waksman_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
+)
+_WINOGRAD_EVEN = _Row(
+    baseline.winograd_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m)), None
+)
+
+#: The row that prices each part of a split kernel.  CORE3's count holds
+#: for core3_times_3xm at every m >= 3, so it prices general's lead block.
+_PARTS = {row.kernel: row for row in (_NAIVE, _WAKSMAN_EVEN, _WINOGRAD_EVEN)}
+_PARTS[general.core3_times_3xm] = _CORE3
+
 #: Kernel, domain, count formula and halving need of each concrete
 #: strategy, one row each.  Each domain but naive's is the predicate
-#: that its kernel refuses through.  The rows are in tie order:
+#: that its kernel refuses through; a split row's count and halving
+#: need come from its parts (_split).  The rows are in tie order:
 #: among applicable strategies with the same predicted count,
 #: choose_strategy takes the first row.  naive comes first, so at equal
 #: counts `auto` runs the textbook product, which spends the fewest
@@ -107,29 +135,13 @@ def _mirrored(row):
 #: The mirrored rows come last, so `auto` runs a product transposed only
 #: where that is strictly cheaper.
 _TABLE = {
-    Strategy.NAIVE: _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None),
-    Strategy.GENERAL_ODD: _Row(general.mul_odd_n, general.odd_n_wide, _general_count, 3),
-    Strategy.CORE3: _Row(general.mul_n3_33, general.n3_m3, lambda l, n, m: 6 * l + 3, None),
-    Strategy.WAKSMAN_EVEN: _Row(
-        baseline.waksman_even,
-        baseline.even_n,
-        lambda l, n, m: _exact_half(n * (l * m + l + m - 1)),
-        0,
-    ),
-    Strategy.WINOGRAD_EVEN: _Row(baseline.winograd_even, baseline.even_n, _winograd_count, None),
-    Strategy.WAKSMAN_ODD: _Row(
-        baseline.waksman_odd,
-        baseline.odd_n,
-        lambda l, n, m: _exact_half((n - 1) * (l * m + l + m - 1)) + l * m,
-        1,
-    ),
-    # general's lead block (its n = 3 case) plus winograd-even on the rest
-    Strategy.GENERAL_WINOGRAD: _Row(
-        general.mul_odd_n_winograd,
-        general.odd_n_wide,
-        lambda l, n, m: _general_count(l, 3, m) + _winograd_count(l, n - 3, m),
-        None,
-    ),
+    Strategy.NAIVE: _NAIVE,
+    Strategy.GENERAL_ODD: _split(general.mul_odd_n),
+    Strategy.CORE3: _CORE3,
+    Strategy.WAKSMAN_EVEN: _WAKSMAN_EVEN,
+    Strategy.WINOGRAD_EVEN: _WINOGRAD_EVEN,
+    Strategy.WAKSMAN_ODD: _split(baseline.waksman_odd),
+    Strategy.GENERAL_WINOGRAD: _split(general.mul_odd_n_winograd),
 }
 
 #: The mirrored row of each strategy whose count is asymmetric in l and
@@ -210,9 +222,9 @@ def multiply(A, B, strategy=Strategy.AUTO):
     shape; the replay only counts, and _observed caches its count (the
     last 1024 kernel-and-shape keys) as the observed figure of every
     product of that kernel and shape.  Refusals, such as a halving
-    schedule over an even modulus, come from the product run and name
-    the caller's ring.  A kernel replaced in its table row is a new key
-    and is counted afresh.
+    schedule over an even modulus, come from the strategy table before
+    the replay and the product run, and name the caller's ring.  A
+    kernel replaced in its table row is a new key and is counted afresh.
 
     Every schedule but naive relies on commuting entries, so over a ring
     whose `commutative` is False AUTO resolves to NAIVE and any other

@@ -1,12 +1,12 @@
 """General product for odd inner dimension, and its 3x3 views.
 
-mul_odd_n multiplies l x n by n x m (n odd >= 3, m >= 3) by splitting
-A = [A1 | A2], B = [B1 over B2] with A1 l x 3, B1 3 x m, so that
-AB = A1*B1 + A2*B2.  The 3-wide core block A1*B1 is computed by
-core3_times_3xm below; the remainder A2*B2 has even inner dimension
-n - 3 and goes to baseline.waksman_even (absent entirely when n = 3),
-which halves exactly.  mul_odd_n_winograd is the same split with the
-remainder on baseline.winograd_even, which never halves: it is the
+mul_odd_n multiplies l x n by n x m (n odd >= 3, m >= 3) as a split
+(baseline.inner_split): A = [A1 | A2], B = [B1 over B2] with A1 l x 3,
+B1 3 x m, so that AB = A1*B1 + A2*B2.  The 3-wide lead block A1*B1 is
+computed by core3_times_3xm below; the remainder A2*B2 has even inner
+dimension n - 3 and goes to baseline.waksman_even (absent entirely when
+n = 3), which halves exactly.  mul_odd_n_winograd is the same split with
+the remainder on baseline.winograd_even, which never halves: it is the
 odd-n schedule over rings without exact halving, such as Z/2^k.
 
 Multiplication counts:
@@ -17,14 +17,18 @@ Multiplication counts:
                         (n(lm + l + m - 1) + l - 1)/2 (m even)
     mul_odd_n_winograd  core3_times_3xm's count + (n - 3)(lm + l + m)/2
 
-Additions, tallied as each ``+``, ``-`` and unary minus: at 16 x 15 x 16,
-mul_odd_n spends 7314 additions and 62 exact halvings, and
-mul_odd_n_winograd 6932 additions and no halving (the textbook product
-spends 3584 additions).  Every addition that involves B alone is done
-once per B (b_only_sums, and the per-pair factors in core3_times_3xm),
-so the lead block at 16 x 3 x 16 spends 84 additions on B plus 98 per
-row.  Both kernels share one body, _lead_plus_remainder, and differ
-only in the remainder kernel they pass it.  In the strategy table
+Additions, tallied as each ``+``, ``-`` and unary minus, with
+e = 1 for even m and 0 for odd m:
+
+    core3_times_3xm     (6m - 9 - 3e) + l(6m + 3 - e), and no halving
+
+Every addition that involves B alone is done once per B (b_only_sums,
+and the per-pair factors in core3_times_3xm), so the lead block at
+16 x 3 x 16 spends 84 additions on B plus 98 per row.  A split spends
+its parts' additions plus l*m for the sum: at 16 x 15 x 16, mul_odd_n
+spends 1652 + 5406 + 256 = 7314 additions and waksman_even's 62 exact
+halvings, and mul_odd_n_winograd 6932 additions and no halving (the
+textbook product spends 3584 additions).  In the strategy table
 (ringmul.dispatch._TABLE) tie order is table order: naive comes first,
 so `auto` runs mul_odd_n only where it is strictly cheaper than the
 textbook product, and mul_odd_n_winograd only where it is strictly
@@ -238,42 +242,10 @@ def odd_n_wide(l, n, m, width="m"):
     return f"needs {width} >= 3, got {m}" if m < 3 else None
 
 
-def _lead_plus_remainder(A, B, remainder):
-    """A1*B1 by core3_times_3xm plus remainder(A2, B2) for the even rest.
-
-    The domain check, the split and the n = 3 early return shared by the
-    odd-n kernels, which differ only in the remainder's schedule.
-    """
-    baseline._check_domain(odd_n_wide, A, B)
-    n = A.cols
-    if n == 3:
-        return core3_times_3xm(A, B)
-    lead = core3_times_3xm(A.slice_cols(0, 3), B.slice_rows(0, 3))
-    return mat_add(lead, remainder(A.slice_cols(3, n), B.slice_rows(3, n)))
-
-
-def mul_odd_n(A, B):
-    """l x n times n x m for odd n >= 3 and m >= 3.
-
-    Exactly n(lm+l+m-1)/2 multiplications for odd m and
-    (n(lm+l+m-1) + l - 1)/2 for even m.  For n > 3 the ring must support
-    exact halving (the even remainder runs Waksman's scheme); for n = 3
-    the remainder is absent and no halving is needed.  Domain: odd_n_wide.
-    """
-    return _lead_plus_remainder(A, B, baseline.waksman_even)
-
-
-def mul_odd_n_winograd(A, B):
-    """l x n times n x m for odd n >= 3 and m >= 3, with no halving.
-
-    The even remainder runs Winograd's division-free scheme instead of
-    Waksman's: (n-3)(lm+l+m)/2 multiplications on top of the lead
-    block's, so 3(lm+l+m-1)/2 + (n-3)(lm+l+m)/2 for odd m and
-    2(l-1) + 3(lm+m)/2 + (n-3)(lm+l+m)/2 for even m.  This is the
-    odd-n schedule for rings without exact halving, such as Z/2^k.
-    Domain: odd_n_wide.
-    """
-    return _lead_plus_remainder(A, B, baseline.winograd_even)
+#: Waksman's remainder halves exactly for n > 3.  Domain: odd_n_wide.
+mul_odd_n = baseline.inner_split(odd_n_wide, core3_times_3xm, 3, baseline.waksman_even)
+#: Winograd's remainder never halves.  Domain: odd_n_wide.
+mul_odd_n_winograd = baseline.inner_split(odd_n_wide, core3_times_3xm, 3, baseline.winograd_even)
 
 
 def mat_add(X, Y):

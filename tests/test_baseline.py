@@ -249,6 +249,14 @@ def test_waksman_even_addition_count(l, n, m):
     assert _op_tally(waksman_even, l, n, m) == (n * (l * m + l + m - 1) // 2, adds, 2 * (l + m - 1))
 
 
+@pytest.mark.parametrize("l,m", [(1, 3), (4, 3), (1, 4), (3, 5), (16, 16), (5, 20)])
+def test_core3_addition_count(l, m):
+    # general.py's derived form: B-only additions plus a per-row share
+    e = 1 - m % 2
+    adds = (6 * m - 9 - 3 * e) + l * (6 * m + 3 - e)
+    assert _op_tally(core3_times_3xm, l, 3, m)[1:] == (adds, 0)
+
+
 @pytest.mark.parametrize(
     "kernel,shape,tally",
     [

@@ -151,6 +151,12 @@ _ONE = "1 1\n2\n"
         pytest.param(None, ["bench", "--shape", "1,0,1"], "--shape", id="shape-zero"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:0"], "int:0", id="bench-ring-zero-bits"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:x"], "int:x", id="bench-ring-bits-not-integer"),
+        pytest.param(
+            None,
+            ["bench", "--shape", "1,1,1", "--reps", "1", "--ring", "int:2147483648"],
+            "int:2147483648",
+            id="bench-ring-bits-beyond-getrandbits",
+        ),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "mod:1"], "mod:1", id="bench-ring-modulus-below-2"),
     ],
 )
@@ -239,7 +245,7 @@ _P64 = f"mod:{2**64}"
             "waksman-even",
             (2, 4, 3),
             "mod:6",
-            "ring mod6 lacks a capability needed by waksman-even: ring mod6 lacks exact halving",
+            "waksman-even needs exact halving: ring mod6 lacks exact halving",
             id="waksman-even-mod6",
         ),
     ],

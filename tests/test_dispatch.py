@@ -738,3 +738,31 @@ def test_auto_over_power_of_two_moduli_runs_general_winograd(modulus):
         assert report.observed == report.predicted == 2166
         assert product == naive(A, B)
         assert [e.value for e in product.data] == _textbook_mod(A, B, modulus)
+
+
+SPLIT_ROWS = [Strategy.WAKSMAN_ODD, Strategy.GENERAL_ODD, Strategy.GENERAL_WINOGRAD]
+
+
+def _ops(kernel, l, n, m):
+    t = tally(kernel, Matrix.zeros(ZZ, l, n), Matrix.zeros(ZZ, n, m))[1]
+    return t.count, t.adds, t.halvings
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategy=st.sampled_from(SPLIT_ROWS), l=st.integers(1, 6), m=st.integers(1, 10))
+def test_split_rows_compose_from_their_parts(strategy, l, m):
+    # a split row spends exactly its parts' operations plus l*m additions
+    # for the sum; its predicted count is the parts' tallied count, and it
+    # halves exactly where n exceeds its halves_above
+    row = dispatch._TABLE[strategy]
+    domain, lead, width, rest = row.kernel.parts
+    for n in range(1, 12, 2):
+        if domain(l, n, m) is not None:
+            continue
+        parts = _ops(lead, l, width, m)
+        if n > width:
+            muls, adds, halvings = _ops(rest, l, n - width, m)
+            parts = (parts[0] + muls, parts[1] + adds + l * m, parts[2] + halvings)
+        assert _ops(row.kernel, l, n, m) == parts, n
+        assert predict_count(strategy, l, n, m) == parts[0], n
+        assert (parts[2] > 0) == (row.halves_above is not None and n > row.halves_above), n

@@ -73,9 +73,10 @@ def test_symbolic_identities_hold(strategy, shape):
 
 def _lines_run(cases):
     """Each case's kernel run once on random integers, traced: the code
-    objects of baseline.py and general.py that it entered, and the
-    (code, line) pairs that ran."""
-    files = {baseline.__file__, general.__file__}
+    objects of the files that hold kernel and combinator bodies
+    (baseline.py, general.py and dispatch.py's _mirrored) that it
+    entered, and the (code, line) pairs that ran."""
+    files = {baseline.__file__, general.__file__, dispatch.__file__}
     entered, ran = set(), set()
 
     def local(frame, event, arg):
@@ -90,11 +91,12 @@ def _lines_run(cases):
         return local
 
     rng = random.Random(28)
+    runs = [(kernel_for(s), random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)) for s, (l, n, m) in cases]
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        for strategy, (l, n, m) in cases:
-            kernel_for(strategy)(random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng))
+        for kernel, A, B in runs:
+            kernel(A, B)
     finally:
         sys.settrace(previous)
     return entered, ran
@@ -117,7 +119,7 @@ def test_every_line_of_every_kernel_function_runs(monkeypatch):
             if not exempt and (code, line) not in ran:
                 missed.append(f"{code.co_name} line {line}: {text}")
     assert missed == []
-    assert {c.co_name for c in entered} >= {"naive", "waksman_odd", "core3_times_3xm", "split"}
+    assert {c.co_name for c in entered} >= {"naive", "lead_plus_rest", "mirrored", "core3_times_3xm", "split"}
 
 
 def test_symbolic_rejects_unsupported_shape():
