@@ -12,7 +12,8 @@ Matrix files are JSON objects {"rows": R, "cols": C, "data": [...]} with
 row-major integer entries (decimal strings are accepted and are required
 beyond 53-bit magnitude); modular matrices carry an extra "modulus"
 field.  A plain-text alternative is accepted on input: first line
-"R C", then R whitespace-separated rows.
+"R C", then R whitespace-separated rows.  Every integer read, from a
+file or a flag, is a JSON integer or ASCII digits with an optional sign.
 
 The verify suites walk one grid: every (strategy, l, n, m) within
 --max-shape that the strategy table in ringmul.dispatch marks
@@ -23,8 +24,8 @@ runs 417 checks.
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error: the chosen strategy cannot run this shape or over
 this ring.  No environment variables are consulted; the default seed
-is 0.  Integer entries of any size round-trip exactly: mul lifts the
-interpreter's 4300-digit int/str limit while it runs.
+is 0.  Integer entries of any size round-trip exactly: main lifts the
+interpreter's 4300-digit int/str limit while a command runs.
 
 Start-up loads only what mul runs: ringmul.verify (and with it
 ringmul.polynomials) is imported by the verify helpers, and random and
@@ -37,6 +38,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import re
 import sys
 import time
 
@@ -52,6 +54,8 @@ from .rings import IntegerRing, ModularRing
 
 _CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
 _JSON_SAFE = 1 << 53
+#: How every integer from a file or a flag is spelled: ASCII digits, optional sign.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 #: Largest bound verify accepts in each of L, N, M.  The suites' run time
 #: grows about with the square of L*N*M; 16,16,16 takes about 80 s on a
 #: shared 2-core VM.
@@ -70,28 +74,29 @@ class _Refusal(Exception):
     """A strategy that cannot run on these operands; main reports it and exits 3."""
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _integer(value, what, least=None, most=None):
+    """The one reader of outside integers: a JSON integer that is not a
+    boolean, or a string of ASCII decimal digits with an optional sign,
+    within least..most.  Anything else raises _InputError naming what."""
+    given = value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        value = int(value, 10)
+    if isinstance(value, bool) or not isinstance(value, int):
+        exact = " (exact arithmetic only)" if isinstance(value, float) else ""
+        raise _InputError(f"{what} must be an integer{exact}, got {given!r}")
+    if least is not None and value < least:
+        raise _InputError(f"{what} must be >= {least}, got {given!r}")
+    if most is not None and value > most:
+        raise _InputError(f"{what} must be <= {most}, got {given!r}")
+    return value
 
 
-def _parse_entry(v, where):
-    if isinstance(v, bool):
-        raise _InputError(f"{where}: boolean entry {v!r}")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise _InputError(f"{where}: bad integer literal {v!r}") from None
-    if isinstance(v, float):
-        raise _InputError(f"{where}: non-integer entry {v!r} (exact arithmetic only)")
-    raise _InputError(f"{where}: unsupported entry {v!r}")
-
-
-def _check_header(path, rows, cols):
-    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
-        raise _InputError(f"{path}: rows/cols must be positive integers")
+def _flag_integer(text):
+    """_integer for argparse's type=, so that argparse reports a bad flag value."""
+    try:
+        return _integer(text, "value")
+    except _InputError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _load_matrix_file(path):
@@ -104,7 +109,7 @@ def _load_matrix_file(path):
         raise _InputError(f"{path}: {e}") from None
     except UnicodeDecodeError as e:
         raise _InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
@@ -115,22 +120,21 @@ def _load_matrix_file(path):
             rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError):
             raise _InputError(f"{path}: need keys rows, cols, data") from None
-        _check_header(path, rows, cols)
+        rows, cols = _integer(rows, f"{path}: rows", 1), _integer(cols, f"{path}: cols", 1)
         if not isinstance(data, list) or len(data) != rows * cols:
             raise _InputError(f"{path}: data must hold {rows * cols} entries")
-        entries = [_parse_entry(v, path) for v in data]
+        entries = [_integer(v, f"{path}: entry") for v in data]
         modulus = obj.get("modulus")
-        if modulus is not None and (not _is_int(modulus) or modulus < 2):
-            raise _InputError(f"{path}: modulus must be an integer >= 2")
+        if modulus is not None:
+            modulus = _integer(modulus, f"{path}: modulus", 2)
         return rows, cols, entries, modulus
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise _InputError(f"{path}: empty matrix file")
-    try:
-        rows, cols = map(int, lines[0].split())
-    except ValueError:
-        raise _InputError(f"{path}: first line must be 'ROWS COLS'") from None
-    _check_header(path, rows, cols)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise _InputError(f"{path}: first line must be 'ROWS COLS'")
+    rows, cols = _integer(header[0], f"{path}: rows", 1), _integer(header[1], f"{path}: cols", 1)
     if len(lines) != rows + 1:
         raise _InputError(f"{path}: expected {rows} data rows")
     entries = []
@@ -138,7 +142,7 @@ def _load_matrix_file(path):
         toks = ln.split()
         if len(toks) != cols:
             raise _InputError(f"{path}: row has {len(toks)} entries, expected {cols}")
-        entries.extend(_parse_entry(t, path) for t in toks)
+        entries.extend(_integer(t, f"{path}: entry") for t in toks)
     return rows, cols, entries, None
 
 
@@ -193,13 +197,7 @@ def _int_digits_unlimited():
 
 def _ring_modulus(spec):
     """P of a ring spec "mod:P", an integer >= 2."""
-    try:
-        modulus = int(spec[4:], 10)
-    except ValueError:
-        raise _InputError(f"bad ring spec {spec!r}") from None
-    if modulus < 2:
-        raise _InputError(f"modulus must be >= 2 in {spec!r}")
-    return modulus
+    return _integer(spec[4:], f"modulus in {spec!r}", least=2)
 
 
 def _multiply(A, B, strategy):
@@ -218,7 +216,6 @@ def _multiply(A, B, strategy):
         raise _Refusal(f"{strategy.value} needs exact halving: {e}") from None
 
 
-@_int_digits_unlimited()
 def cmd_mul(args):
     ra, ca, ea, mod_a = _load_matrix_file(args.a)
     rb, cb, eb, mod_b = _load_matrix_file(args.b)
@@ -266,17 +263,8 @@ def table_rows(lmax, nmax, mmax):
             continue
         ours = predict_count(Strategy.GENERAL_ODD, l, n, m)
         wak = predict_count(Strategy.WAKSMAN_ODD, l, n, m)
-        rows.append(
-            {
-                "l": l,
-                "n": n,
-                "m": m,
-                "paper": ours,
-                "waksman_odd": wak,
-                "naive": predict_count(Strategy.NAIVE, l, n, m),
-                "delta": wak - ours,
-            }
-        )
+        row = (l, n, m, ours, wak, predict_count(Strategy.NAIVE, l, n, m), wak - ours)
+        rows.append(dict(zip(_TABLE_COLUMNS, row)))
     return rows
 
 
@@ -287,14 +275,11 @@ def cmd_table(args):
     return 0
 
 
-def _parse_triple(text, flag):
-    try:
-        l, n, m = map(int, text.split(","))
-    except ValueError:
-        raise _InputError(f"{flag} must be three comma-separated integers, got {text!r}") from None
-    if min(l, n, m) < 1:
-        raise _InputError(f"{flag} values must be >= 1, got {text!r}")
-    return l, n, m
+def _parse_triple(text, flag, most=None):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise _InputError(f"{flag} must be three comma-separated integers, got {text!r}")
+    return tuple(_integer(part, f"{flag} value", 1, most) for part in parts)
 
 
 def _supported_shapes(lmax, nmax, mmax):
@@ -359,9 +344,7 @@ def _run_suite(check, bounds, seed):
 
 
 def cmd_verify(args):
-    bounds = _parse_triple(args.max_shape, "--max-shape")
-    if max(bounds) > _VERIFY_SHAPE_CAP:
-        return _fail(2, f"--max-shape values must be <= {_VERIFY_SHAPE_CAP}, got {args.max_shape!r}")
+    bounds = _parse_triple(args.max_shape, "--max-shape", _VERIFY_SHAPE_CAP)
     suites = {
         "counts": (_verify_counts, bounds),
         "random": (_verify_random, bounds),
@@ -389,12 +372,7 @@ def cmd_verify(args):
 
 def _bench_ring(spec):
     if spec.startswith("int:"):
-        try:
-            bits = int(spec[4:], 10)
-        except ValueError:
-            bits = 0
-        if not 1 <= bits < 2**31:  # random.getrandbits takes a C int
-            raise _InputError(f"bad bit size in {spec!r} (use 1 to {2**31 - 1})")
+        bits = _integer(spec[4:], f"bit size in {spec!r}", 1, 2**31 - 1)  # getrandbits takes a C int
         return IntegerRing(), lambda rng: rng.getrandbits(bits) - (1 << (bits - 1))
     if spec.startswith("mod:"):
         ring = ModularRing(_ring_modulus(spec))
@@ -405,7 +383,6 @@ def _bench_ring(spec):
 _BENCH_COLUMNS = ("strategy", "l", "n", "m", "reps", "first_s", "median_s", "spread_s")
 
 
-@_int_digits_unlimited()
 def cmd_bench(args):
     import random
     import statistics
@@ -463,15 +440,15 @@ def build_parser():
     mul.set_defaults(func=cmd_mul)
 
     table = sub.add_parser("table", help="predicted-count comparison table")
-    table.add_argument("--lmax", type=int, required=True)
-    table.add_argument("--nmax", type=int, required=True)
-    table.add_argument("--mmax", type=int, required=True)
+    table.add_argument("--lmax", type=_flag_integer, required=True)
+    table.add_argument("--nmax", type=_flag_integer, required=True)
+    table.add_argument("--mmax", type=_flag_integer, required=True)
     table.add_argument("--format", default="csv", choices=("csv", "json"))
     table.set_defaults(func=cmd_table)
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all", choices=("symbolic", "random", "counts", "all"))
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_flag_integer, default=0)
     ver.add_argument(
         "--max-shape",
         default="3,7,6",
@@ -482,7 +459,7 @@ def build_parser():
     bench = sub.add_parser("bench", help="wall-clock strategy comparison")
     bench.add_argument("--shape", required=True, help="l,n,m")
     bench.add_argument("--ring", default="int:64", help="int:BITS or mod:P")
-    bench.add_argument("--reps", type=int, default=5)
+    bench.add_argument("--reps", type=_flag_integer, default=5)
     bench.add_argument("--format", default="csv", choices=("csv", "json"))
     bench.add_argument(
         "--strategy",
@@ -495,13 +472,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (_InputError, ShapeError) as e:
-        return _fail(2, str(e))
-    except _Refusal as e:
-        return _fail(3, str(e))
+    # integers of any size are read and written exactly, by every command
+    with _int_digits_unlimited():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (_InputError, ShapeError) as e:
+            return _fail(2, str(e))
+        except _Refusal as e:
+            return _fail(3, str(e))
+        except MemoryError:
+            return _fail(2, f"{args.command}: out of memory")
 
 
 def entry():

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,9 +137,16 @@ _ONE = "1 1\n2\n"
         pytest.param("1 1 1\n2\n", _MUL, "{a}", id="text-header-token-count"),
         pytest.param("1 x\n2\n", _MUL, "{a}", id="text-header-not-integer"),
         pytest.param("2 1\n2\n", _MUL, "{a}", id="text-data-row-count"),
+        pytest.param("1_0 1_0\n" + ("1 " * 10 + "\n") * 10, _MUL, "{a}", id="text-header-underscore"),
+        pytest.param('{"rows": 1, "cols": 1, "data": ["1_000"]}', _MUL, "{a}", id="entry-underscore"),
+        pytest.param('{"rows": 1, "cols": 1, "data": [" 12 "]}', _MUL, "{a}", id="entry-spaces"),
+        pytest.param('{"rows": 1, "cols": 1, "data": ["\\u0661\\u0662"]}', _MUL, "{a}", id="entry-non-ascii-digits"),
+        pytest.param("1 1\n\u0661\u0662\n", _MUL, "{a}", id="text-entry-non-ascii-digits"),
+        pytest.param("[1, 2, 3]", _MUL, "{a}", id="json-array"),
         pytest.param("1 2\n2\n", _MUL, "{a}", id="text-row-width"),
         pytest.param(_ONE, [*_MUL, "--ring", "mod:x"], "mod:x", id="mul-ring-modulus-not-integer"),
         pytest.param(_ONE, [*_MUL, "--ring", "mod:1"], "mod:1", id="mul-ring-modulus-below-2"),
+        pytest.param(_ONE, [*_MUL, "--ring", "mod:1_1"], "mod:1_1", id="mul-ring-modulus-underscore"),
         pytest.param(
             '{"rows": 1, "cols": 1, "modulus": 7, "data": [3]}',
             [*_MUL, "--ring", "mod:5"],
@@ -147,8 +156,10 @@ _ONE = "1 1\n2\n"
         pytest.param(_ONE, [*_MUL, "--ring", "gf:7"], "gf:7", id="mul-ring-unknown"),
         pytest.param(None, ["verify", "--max-shape", "1,x,1"], "--max-shape", id="max-shape-not-integer"),
         pytest.param(None, ["verify", "--max-shape", "1,0,1"], "--max-shape", id="max-shape-zero"),
+        pytest.param(None, ["verify", "--max-shape", "9" * 5000 + ",1,1"], "--max-shape", id="max-shape-5000-digits"),
         pytest.param(None, ["bench", "--shape", "1,x,1"], "--shape", id="shape-not-integer"),
         pytest.param(None, ["bench", "--shape", "1,0,1"], "--shape", id="shape-zero"),
+        pytest.param(None, ["bench", "--shape", "1_0,1,1"], "--shape", id="shape-underscore"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:0"], "int:0", id="bench-ring-zero-bits"),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "int:x"], "int:x", id="bench-ring-bits-not-integer"),
         pytest.param(
@@ -164,12 +175,38 @@ def test_input_errors_exit_2_with_one_line_naming_the_input(tmp_path, capsys, co
     # the one error line names the bad file, or the flag or the value given to it
     a = tmp_path / "a"
     if content is not None:
-        a.write_text(content)
+        a.write_text(content, encoding="utf-8")
     code, stdout, stderr = _run(capsys, [arg.format(a=a) for arg in argv])
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert named.format(a=a) in stderr
+
+
+def test_mul_reads_a_file_that_opens_with_a_bracket_as_json(tmp_path, capsys):
+    a = _write(tmp_path / "a", " [1, 2, 3]")
+    assert _run(capsys, ["mul", "--a", a, "--b", a]) == (2, "", f"error: {a}: need keys rows, cols, data\n")
+
+
+def test_mul_reads_header_and_modulus_spelled_as_decimal_strings(tmp_path, capsys):
+    # rows, cols and modulus follow the entries' rule; the output modulus stays a JSON integer
+    a = _write(tmp_path / "a.json", {"rows": "1", "cols": "+2", "modulus": "7", "data": ["-3", 4]})
+    b = _write(tmp_path / "b.json", {"rows": 2, "cols": 1, "data": [5, "6"]})
+    code, stdout, stderr = _run(capsys, ["mul", "--a", a, "--b", b])
+    assert code == 0, stderr
+    assert stdout == '{"rows": 1, "cols": 1, "modulus": 7, "data": [2]}\n'
+
+
+@pytest.mark.parametrize("target", ["multiply", "_load_matrix_file"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, target):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    a = _write(tmp_path / "a.txt", _ONE)
+    assert _run(capsys, ["mul", "--a", a, "--b", a]) == (2, "", "error: mul: out of memory\n")
+    if target == "multiply":
+        assert _run(capsys, ["bench", "--shape", "1,1,1", "--reps", "1"]) == (2, "", "error: bench: out of memory\n")
 
 
 def test_mul_deeply_nested_json_exit_2(tmp_path, capsys):
@@ -745,6 +782,22 @@ def test_unknown_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        pytest.param(["verify", "--seed", "1_0"], "--seed", id="seed-underscore"),
+        pytest.param(["verify", "--seed", " 1"], "--seed", id="seed-space"),
+        pytest.param(["table", "--lmax", "\u0663", "--nmax", "3", "--mmax", "3"], "--lmax", id="lmax-non-ascii-digit"),
+        pytest.param(["bench", "--shape", "1,1,1", "--reps", "2.0"], "--reps", id="reps-float"),
+    ],
+)
+def test_integer_flags_follow_the_spelling_rule_through_argparse(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: value must be an integer" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_verification_and_statistics_off_the_start_path():
     def loaded(code):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -757,3 +810,136 @@ def test_cli_import_leaves_verification_and_statistics_off_the_start_path():
     assert "ringmul.cli" in added
     off_path = {"ringmul.verify", "ringmul.polynomials", "dataclasses", "inspect", "statistics", "fractions", "decimal"}
     assert not added & off_path
+
+
+#: Integer spellings the CLI refuses wherever it reads an integer.
+_BAD_SPELLINGS = ["1_000", " 12 ", "12 ", "\u0661\u0662", "1.0", "0x10", "", "x", "--1"]
+#: Valid integers at the edges: zero, negatives, a sign, and beyond a C int and an int64.
+_EDGE_INTS = ["0", "-1", "-7", "+2", str(2**31), str(2**63)]
+_GOOD_RINGS = ["mod:2", "mod:7", "mod:8", f"mod:{2**64}"]
+_ODD_RINGS = ["mod:1", "mod:0", "mod:-3", "mod:1_1", "mod: 7", "mod:\u0667", "gf:7", "int:64", "int"]
+
+
+def _mostly(usual, odd):
+    """usual five times in six, else odd."""
+    return st.integers(0, 5).flatmap(lambda k: odd if k == 0 else usual)
+
+
+def _spelled(small, edges=_EDGE_INTS[:4]):
+    """A flag value: mostly a small integer, else an edge value or a refused spelling."""
+    return _mostly(small.map(str), st.sampled_from([*edges, *_BAD_SPELLINGS]))
+
+
+def _triple(l, n, m, edges=_EDGE_INTS[:4]):
+    parts = st.tuples(_spelled(l, edges), _spelled(n, edges), _spelled(m, edges)).map(",".join)
+    return _mostly(parts, st.sampled_from(["1,2", "1,2,3,4", "1,,1", "1 ,1,1"]))
+
+
+@st.composite
+def _matrix_text(draw, rows, cols):
+    """A valid JSON or text matrix file; one time in six, mutated."""
+    data = [draw(st.integers(-(2**70), 2**70)) for _ in range(rows * cols)]
+    if draw(st.booleans()):
+        obj = {"rows": rows, "cols": cols, "data": [draw(st.sampled_from([v, str(v)])) for v in data]}
+        modulus = draw(_mostly(st.none(), st.sampled_from([7, 8, 2**64, "11"])))
+        if modulus is not None:
+            obj["modulus"] = modulus
+        text = json.dumps(obj)
+    else:
+        text = _text_file([data[i * cols : (i + 1) * cols] for i in range(rows)])
+    how = draw(_mostly(st.just("none"), st.sampled_from(["number", "splice", "wrap"])))
+    if how == "none":
+        return text
+    if how == "wrap":  # a JSON file then parses, but not to an object
+        return f"[{text}]"
+    if how == "number":  # one integer, the header's included, becomes an odd value
+        start, end = draw(st.sampled_from([hit.span() for hit in re.finditer("-?[0-9]+", text)]))
+        new = draw(st.sampled_from([*_EDGE_INTS, *_BAD_SPELLINGS, "true", "null", "1.5", '"3"', "[1]"]))
+    else:  # up to three characters become one odd character, or none
+        start = draw(st.integers(0, len(text)))
+        end = start + draw(st.integers(0, 3))
+        new = draw(st.sampled_from(["", "_", " ", "\n", "\u0663", "\ufeff", "-", "[", "{", "]", ",", "0"]))
+    return text[:start] + new + text[end:]
+
+
+@st.composite
+def _argv_cases(draw):
+    """(argv, files): one command line over every subcommand, with the
+    matrix files it names.  Every value a run could take long on is small."""
+    command = draw(st.sampled_from(["mul", "mul", "table", "verify", "bench"]))
+    small = st.integers(1, 3)
+    if command == "mul":
+        l, n, m = (draw(st.integers(1, 4)) for _ in range(3))
+        files = {"a": draw(_matrix_text(l, n)), "b": draw(_matrix_text(draw(_mostly(st.just(n), st.just(n + 1))), m))}
+        ring = draw(_mostly(st.just("int"), st.sampled_from([*_GOOD_RINGS, *_ODD_RINGS])))
+        strategy = draw(_mostly(st.just("auto"), st.sampled_from([s.value for s in Strategy])))
+        return ["mul", "--a", "{a}", "--b", "{b}", "--ring", ring, "--report", "--strategy", strategy], files
+    if command == "table":
+        bounds = ([f"--{k}", draw(_spelled(small))] for k in ("lmax", "nmax", "mmax"))
+        return ["table", *itertools.chain(*bounds)], {}
+    if command == "verify":
+        shape = draw(_triple(st.integers(1, 2), small, small, ["0", "-1", "17", str(2**31), str(2**63)]))
+        seed = draw(_spelled(st.integers(0, 9), _EDGE_INTS))
+        suite = draw(st.sampled_from(["all", "counts", "random", "symbolic"]))
+        return ["verify", "--suite", suite, "--max-shape", shape, "--seed", seed], {}
+    bits = draw(_spelled(st.integers(1, 4096), ["0", "-1", str(2**31), str(2**63)]))
+    ring = draw(_mostly(st.sampled_from([f"int:{bits}", *_GOOD_RINGS]), st.sampled_from(_ODD_RINGS)))
+    argv = ["bench", "--shape", draw(_triple(small, small, small)), "--ring", ring]
+    argv += ["--reps", draw(_spelled(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        argv += ["--strategy", draw(st.sampled_from([s.value for s in Strategy if s is not Strategy.AUTO]))]
+    return argv, {}
+
+
+def _textbook(path_a, path_b, ring):
+    """The product of two matrix files that mul accepted, read without
+    ringmul; every integer in them must be spelled as README says."""
+
+    def number(v):
+        assert type(v) is int or re.fullmatch("[+-]?[0-9]+", v), v
+        return int(v)
+
+    def read(path):
+        text = Path(path).read_text(encoding="utf-8-sig")
+        if text.lstrip()[:1] in ("{", "["):
+            obj = json.loads(text)
+            modulus = obj.get("modulus")
+            return number(obj["cols"]), [number(v) for v in obj["data"]], modulus and number(modulus)
+        header, *rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+        return number(header[1]), [number(t) for r in rows for t in r], None
+
+    n, a, mod_a = read(path_a)
+    m, b, mod_b = read(path_b)
+    modulus = int(ring[4:]) if ring.startswith("mod:") else mod_a or mod_b
+    data = [sum(a[i * n + k] * b[k * m + j] for k in range(n)) for i in range(len(a) // n) for j in range(m)]
+    return modulus, data if modulus is None else [v % modulus for v in data]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argv_cases())
+def test_every_command_line_exits_0_to_3_with_at_most_one_error_line(tmp_path, capsys, case):
+    argv, files = case
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse's own refusal of a flag
+        assert e.code == 2
+        capsys.readouterr()
+        return
+    out = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or argv[0] == "verify"
+    if code in (2, 3):
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+    else:
+        assert out.err == ""
+    if code == 0 and argv[0] == "mul":
+        product = json.loads(out.out.splitlines()[0])
+        modulus, want = _textbook(paths["a"], paths["b"], argv[argv.index("--ring") + 1])
+        assert product.get("modulus") == modulus
+        assert [int(v) for v in product["data"]] == want

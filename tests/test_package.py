@@ -112,3 +112,14 @@ def test_every_module_level_import_is_read():
     files = sorted((ROOT / "src" / "ringmul").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = {str(p.relative_to(ROOT)): names for p in files if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_cli_reads_integers_only_through_its_one_reader():
+    # outside cli._integer no code names int, so none calls int(...) and no
+    # flag in build_parser converts with type=int
+    tree = ast.parse((ROOT / "src" / "ringmul" / "cli.py").read_text(encoding="utf-8"))
+    (reader,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_integer"]
+    inside = {id(n) for n in ast.walk(reader)}
+    named = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "int" and id(n) not in inside]
+    assert named == []
+    assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int" for n in ast.walk(reader))
