@@ -30,16 +30,11 @@ from .errors import (
     WitnessNotFound,
 )
 from .general import (
-    ColumnPairSchedule,
-    SharedBProducts,
     core3_times_3xm,
-    mat_add,
     mul_33_33,
     mul_n3_33,
     mul_odd_n,
     mul_odd_n_winograd,
-    row_times_3x3,
-    shared_b_products,
 )
 from .matrices import Matrix, matrix_from_ints, random_matrix
 from .rings import (
@@ -61,7 +56,6 @@ from .rings import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnPairSchedule",
     "CostReport",
     "Counted",
     "CountedRing",
@@ -78,7 +72,6 @@ __all__ = [
     "PolynomialRing",
     "Ring",
     "ShapeError",
-    "SharedBProducts",
     "SparsePolynomial",
     "Strategy",
     "TermBudgetExceeded",
@@ -90,7 +83,6 @@ __all__ = [
     "count_audit",
     "halve_exact",
     "kernel_for",
-    "mat_add",
     "matrix_from_ints",
     "mul_33_33",
     "mul_n3_33",
@@ -103,8 +95,6 @@ __all__ = [
     "random_matrix",
     "randomized_check",
     "ring_axiom_check",
-    "row_times_3x3",
-    "shared_b_products",
     "symbolic_verify",
     "taint_audit",
     "tally",

@@ -38,13 +38,14 @@ that shape is strictly cheaper.
 
 The core block runs the 3-column schedule, 3 products of entries of B
 alone (b_only_products) plus 6 per row (row_step), which is all of the
-6l + 3 product l x 3 times 3 x 3.  shared_b_products, row_times_3x3,
-mul_n3_33 and mul_33_33 are views of that m = 3 case on Matrix values.
-It extends to the columns beyond the third two at a time: each column
-pair (j, j+1) reuses the three row-level products shared with columns
-1..3 and adds exactly 3 new row-level products per row plus 3 products
-involving only entries of B.  The B-only correction products are cached
-per pair, not per row; that caching is what the count formulas price in.
+6l + 3 product l x 3 times 3 x 3.  core3_times_3xm is the only code
+that spells out the schedule, and mul_n3_33 and mul_33_33 are its only
+m = 3 views.  It extends to the columns beyond the third two at a time:
+each column pair (j, j+1) reuses the three row-level products shared
+with columns 1..3 and adds exactly 3 new row-level products per row
+plus 3 products involving only entries of B.  The B-only correction
+products are cached per pair, not per row; that caching is what the
+count formulas price in.
 
 Index convention used throughout this package: the classical 1-based
 entry names a_{ij}, b_{ij} map to 0-based storage, so b_{12} is
@@ -54,30 +55,9 @@ that shift.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import baseline
 from .errors import ShapeError, UnsupportedShape
 from .matrices import Matrix
-
-
-class ColumnPairSchedule(NamedTuple):
-    """Column pairs (1-based) processed together beyond the lead block.
-
-    start is 4 for odd width, 5 for even width (column 4 is then handled
-    by its own single-column correction); pairs tile start..m exactly and
-    are empty for m in (3, 4).
-    """
-
-    start: int
-    pairs: tuple
-
-    @classmethod
-    def for_width(cls, m):
-        if m < 3:
-            raise UnsupportedShape(f"width {m} must be >= 3")
-        start = 4 if m % 2 else 5
-        return cls(start, tuple((j, j + 1) for j in range(start, m, 2)))
 
 
 def b_only_products(b1, b2, b3):
@@ -120,59 +100,23 @@ def row_step(a1, a2, a3, b1, b2, b3, q, out):
     return rp1, rp12, rp23
 
 
-class SharedBProducts(NamedTuple):
-    """The three multiplications involving only entries of B.
-
-    p7 = b12*b21, p8 = b13*b31, p9 = b23*b32 (numbered after their
-    position in the row schedule).
-    """
-
-    p7: object
-    p8: object
-    p9: object
-
-
-def _check_b(B):
-    if B.shape != (3, 3):
-        raise ShapeError(f"B must be 3x3, got {B.rows}x{B.cols}")
-
-
-def shared_b_products(B):
-    """Compute the three B-only products of a 3x3 B; exactly 3 multiplications."""
-    _check_b(B)
-    return SharedBProducts(*b_only_products(B.row_list(0), B.row_list(1), B.row_list(2)))
-
-
-def row_times_3x3(a, B, shared):
-    """Product of a 1x3 row with a 3x3 matrix; exactly 6 multiplications.
-
-    shared must have been computed from this B (shared_b_products), which
-    is what keeps the per-row cost at 6 instead of 9.
-    """
-    if a.shape != (1, 3):
-        raise ShapeError(f"row must be 1x3, got {a.rows}x{a.cols}")
-    _check_b(B)
-    b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
-    c = []
-    row_step(*a.row_list(0), b1, b2, b3, b_only_sums(b1, b2, b3, shared), c)
-    return Matrix(a.ring, 1, 3, c)
-
-
 def core3_times_3xm(A1, B1):
     """l x 3 times 3 x m (m >= 3) with row-shared and B-only products.
 
     Exactly 3(lm+l+m-1)/2 multiplications for odd m and
     2(l-1) + 3(lm+m)/2 for even m; the count does not depend on the
-    entry values.  m < 3 raises UnsupportedShape (from
-    ColumnPairSchedule.for_width), and factors that do not meet in 3
-    columns raise ShapeError.
+    entry values.  m < 3 raises UnsupportedShape, and factors that do
+    not meet in 3 columns raise ShapeError.  This is the only code that
+    spells out the 3-column schedule; mul_n3_33 and mul_33_33 are its
+    only m = 3 views.
     """
-    sched = ColumnPairSchedule.for_width(B1.cols)
+    l, m = A1.rows, B1.cols
+    if m < 3:
+        raise UnsupportedShape(f"width {m} must be >= 3")
     baseline._check_inner(A1, B1)
     if A1.cols != 3:
         raise ShapeError(f"factors must meet in 3 columns, got {A1.cols}")
 
-    l, m = A1.rows, B1.cols
     b1, b2, b3 = B1.row_list(0), B1.row_list(1), B1.row_list(2)
 
     # Everything that involves B alone is computed once and reused by
@@ -189,9 +133,12 @@ def core3_times_3xm(A1, B1):
         beta4, gamma4 = b2[0] - b2[3], b1[3] - b1[1]  # b21-b24, b14-b12
         k4 = q12 + beta4 * gamma4
 
+    # Column pairs (J, J + 1), 0-based, tile the columns past the lead
+    # block exactly: they start at column 4 (1-based) for odd m, and at
+    # column 5 for even m, whose column 4 has its own correction above.
     pair_b = []
-    for j, j1 in sched.pairs:
-        J, J1 = j - 1, j1 - 1
+    for J in range(4 if m_even else 3, m - 1, 2):
+        J1 = J + 1
         be1, ga1 = b2[0] - b2[J], b1[J] - b1[1] - b1[J1]
         be2, ga2 = b3[0] - b3[J], b1[J1] - b1[2]
         be3, ga3 = b3[1] + b3[J] - b3[J1], b2[J1] - b2[2]
@@ -247,7 +194,3 @@ mul_odd_n = baseline.inner_split(odd_n_wide, core3_times_3xm, 3, baseline.waksma
 #: Winograd's remainder never halves.  Domain: odd_n_wide.
 mul_odd_n_winograd = baseline.inner_split(odd_n_wide, core3_times_3xm, 3, baseline.winograd_even)
 
-
-def mat_add(X, Y):
-    """Entrywise sum; zero multiplications."""
-    return X + Y

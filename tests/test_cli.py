@@ -169,6 +169,7 @@ _ONE = "1 1\n2\n"
             id="bench-ring-bits-beyond-getrandbits",
         ),
         pytest.param(None, ["bench", "--shape", "1,3,3", "--ring", "mod:1"], "mod:1", id="bench-ring-modulus-below-2"),
+        pytest.param(None, ["table", "--lmax", "65", "--nmax", "3", "--mmax", "3"], "--lmax", id="table-bound-above-cap"),
     ],
 )
 def test_input_errors_exit_2_with_one_line_naming_the_input(tmp_path, capsys, content, argv, named):
@@ -564,6 +565,25 @@ def test_table_bad_bounds_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--lmax", "--nmax", "--mmax"])
+@pytest.mark.parametrize("bound", ["65", str(2**31), str(2**63)])
+def test_table_bound_above_cap_exits_2_at_once(capsys, monkeypatch, flag, bound):
+    def never(*args):
+        raise AssertionError("table built rows despite the rejected bounds")
+
+    monkeypatch.setattr(cli, "table_rows", never)
+    argv = ["table", "--lmax", "3", "--nmax", "3", "--mmax", "3"]
+    argv[argv.index(flag) + 1] = bound
+    assert _run(capsys, argv) == (2, "", f"error: {flag} must be <= 64, got {bound}\n")
+
+
+def test_table_bound_at_cap_runs(capsys):
+    code, stdout, _ = _run(capsys, ["table", "--lmax", "64", "--nmax", "3", "--mmax", "3"])
+    assert code == 0
+    # 6l + 3 against Waksman's 7l + 2: the gap is l - 1
+    assert stdout.splitlines()[-1] == "64,3,3,387,450,576,63"
+
+
 def test_verify_counts_suite(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "counts", "--max-shape", "2,5,4"])
     assert code == 0
@@ -770,6 +790,41 @@ def test_bench_nonpositive_reps_exit_2(capsys, reps):
     assert "--reps" in stderr
 
 
+class _Drawn(Exception):
+    """Raised by the patched random draws: bench reached its operands."""
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def drawn(*args):
+        raise _Drawn
+
+    monkeypatch.setattr(random.Random, "getrandbits", drawn)
+    monkeypatch.setattr(random.Random, "randrange", drawn)
+
+
+@pytest.mark.parametrize(
+    "shape, ring",
+    [
+        ("2,2,2", "int:2000000000"),
+        ("1,1,1", f"int:{2**29 + 1}"),
+        ("4096,4096,4096", "int:64"),
+        ("134217728,1,134217729", "mod:8"),
+        (f"{2**63},1,1", "mod:7"),
+    ],
+)
+def test_bench_refuses_operands_beyond_2_30_bits_before_drawing(capsys, no_draws, shape, ring):
+    code, stdout, stderr = _run(capsys, ["bench", "--shape", shape, "--ring", ring])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: --shape") and stderr.count("\n") == 1 and "2^30 bits" in stderr
+
+
+@pytest.mark.parametrize("shape, ring", [("1,1,1", f"int:{2**29}"), ("134217728,1,134217728", "mod:8")])
+def test_bench_draws_operands_of_exactly_2_30_bits(capsys, no_draws, shape, ring):
+    with pytest.raises(_Drawn):
+        cli.main(["bench", "--shape", shape, "--ring", ring])
+
+
 def test_bench_bad_ring_spec_exit_2(capsys):
     code, _, _ = _run(capsys, ["bench", "--shape", "2,4,3", "--ring", "float:32"])
     assert code == 2
@@ -875,7 +930,7 @@ def _argv_cases(draw):
         strategy = draw(_mostly(st.just("auto"), st.sampled_from([s.value for s in Strategy])))
         return ["mul", "--a", "{a}", "--b", "{b}", "--ring", ring, "--report", "--strategy", strategy], files
     if command == "table":
-        bounds = ([f"--{k}", draw(_spelled(small))] for k in ("lmax", "nmax", "mmax"))
+        bounds = ([f"--{k}", draw(_spelled(small, [*_EDGE_INTS, "65"]))] for k in ("lmax", "nmax", "mmax"))
         return ["table", *itertools.chain(*bounds)], {}
     if command == "verify":
         shape = draw(_triple(st.integers(1, 2), small, small, ["0", "-1", "17", str(2**31), str(2**63)]))

@@ -13,10 +13,9 @@ from ringmul import (
     mul_n3_33,
     naive,
     random_matrix,
-    row_times_3x3,
-    shared_b_products,
     symbolic_verify,
 )
+from ringmul.general import b_only_products
 
 from conftest import run_counted
 
@@ -25,24 +24,21 @@ ONES = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
 
 
 def test_shared_b_products_identity():
-    s = shared_b_products(Matrix.identity(ZZ, 3))
-    assert (s.p7, s.p8, s.p9) == (0, 0, 0)
+    assert b_only_products(*Matrix.identity(ZZ, 3).to_rows()) == (0, 0, 0)
 
 
 def test_shared_b_products_all_ones():
-    s = shared_b_products(matrix_from_ints(ZZ, ONES))
-    assert (s.p7, s.p8, s.p9) == (1, 1, 1)
+    assert b_only_products(*ONES) == (1, 1, 1)
 
 
 def test_shared_b_products_values():
-    # direct products b12*b21, b13*b31, b23*b32
-    s = shared_b_products(matrix_from_ints(ZZ, B9))
-    assert (s.p7, s.p8, s.p9) == (2 * 4, 3 * 7, 6 * 8)
+    # the products b12*b21, b13*b31, b23*b32 that every row shares
+    assert b_only_products(*B9) == (2 * 4, 3 * 7, 6 * 8)
 
 
 def _shared_row(a, B):
     """The B-only products as a 1x3 row, so that tally can count them."""
-    return Matrix(a.ring, 1, 3, list(shared_b_products(B)))
+    return Matrix(a.ring, 1, 3, list(b_only_products(*B.to_rows())))
 
 
 def test_shared_b_products_tally_three():
@@ -51,45 +47,19 @@ def test_shared_b_products_tally_three():
     assert counted.count == 3
 
 
-def test_shared_b_products_shape():
-    with pytest.raises(ShapeError):
-        shared_b_products(matrix_from_ints(ZZ, [[1, 2, 3], [4, 5, 6]]))
-
-
 def test_row_unit_vector_picks_first_row():
-    B = matrix_from_ints(ZZ, B9)
-    a = matrix_from_ints(ZZ, [[1, 0, 0]])
-    assert row_times_3x3(a, B, shared_b_products(B)).to_rows() == [[1, 2, 3]]
+    assert mul_n3_33(matrix_from_ints(ZZ, [[1, 0, 0]]), matrix_from_ints(ZZ, B9)).to_rows() == [[1, 2, 3]]
 
 
 def test_row_against_all_ones():
-    B = matrix_from_ints(ZZ, ONES)
-    a = matrix_from_ints(ZZ, [[1, 2, 3]])
-    assert row_times_3x3(a, B, shared_b_products(B)).to_rows() == [[6, 6, 6]]
+    assert mul_n3_33(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, ONES)).to_rows() == [[6, 6, 6]]
 
 
 def test_row_against_oracle():
-    B = matrix_from_ints(ZZ, B9)
-    a = matrix_from_ints(ZZ, [[1, 2, 3]])
-    got = row_times_3x3(a, B, shared_b_products(B))
+    a, B = matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, B9)
+    got = mul_n3_33(a, B)
     assert got == naive(a, B)
     assert got.to_rows() == [[30, 36, 42]]
-
-
-def test_row_tally_six_given_shared():
-    # 3 B-only products, then 6 for the row
-    got, counted = run_counted(lambda a, B: row_times_3x3(a, B, shared_b_products(B)), [[1, 2, 3]], B9)
-    assert got.to_rows() == [[30, 36, 42]]
-    assert counted.count == 3 + 6
-
-
-def test_row_shape_checks():
-    B = matrix_from_ints(ZZ, B9)
-    shared = shared_b_products(B)
-    with pytest.raises(ShapeError):
-        row_times_3x3(matrix_from_ints(ZZ, [[1, 2]]), B, shared)
-    with pytest.raises(ShapeError):
-        row_times_3x3(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2]]), shared)
 
 
 def test_mul_n3_33_tally_is_6n_plus_3():
@@ -117,6 +87,8 @@ def test_mul_n3_33_shape_checks():
         mul_n3_33(matrix_from_ints(ZZ, [[1, 2]]), matrix_from_ints(ZZ, B9))
     with pytest.raises(ShapeError):
         mul_n3_33(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2], [3, 4]]))
+    with pytest.raises(ShapeError):
+        mul_n3_33(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2]]))
 
 
 def test_mul_33_33_identities():

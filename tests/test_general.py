@@ -5,7 +5,6 @@ import pytest
 import ringmul.baseline
 import ringmul.rings
 from ringmul import (
-    ColumnPairSchedule,
     ExactHalveUnavailable,
     IntegerRing,
     Matrix,
@@ -16,7 +15,6 @@ from ringmul import (
     UnsupportedShape,
     ZZ,
     core3_times_3xm,
-    mat_add,
     matrix_from_ints,
     mul_odd_n,
     mul_odd_n_winograd,
@@ -49,27 +47,21 @@ def _random_rows(rng, r, c, span=99):
     return [[rng.randint(-span, span) for _ in range(c)] for _ in range(r)]
 
 
-def test_pair_schedule_lead_only_widths():
-    assert ColumnPairSchedule.for_width(3).pairs == ()
-    assert ColumnPairSchedule.for_width(4).pairs == ()
-
-
-def test_pair_schedule_starts():
-    assert ColumnPairSchedule.for_width(5) == ColumnPairSchedule(4, ((4, 5),))
-    assert ColumnPairSchedule.for_width(6) == ColumnPairSchedule(5, ((5, 6),))
-    assert ColumnPairSchedule.for_width(9).pairs == ((4, 5), (6, 7), (8, 9))
-
-
 def test_pair_schedule_tiles_exactly():
-    for m in range(3, 13):
-        sched = ColumnPairSchedule.for_width(m)
-        covered = [j for pair in sched.pairs for j in pair]
-        assert covered == list(range(sched.start, m + 1))
+    # the column pairs past the lead block cover every column once: each
+    # width gives the textbook product at the closed-form count
+    rng = random.Random(4)
+    for l in (1, 3):
+        for m in range(3, 13):
+            a, b = _random_rows(rng, l, 3), _random_rows(rng, 3, m)
+            out, tally = run_counted(core3_times_3xm, a, b)
+            assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b)), (l, m)
+            assert tally.count == _core_block_count(l, m), (l, m)
 
 
 def test_pair_schedule_rejects_narrow():
-    with pytest.raises(UnsupportedShape):
-        ColumnPairSchedule.for_width(2)
+    with pytest.raises(UnsupportedShape, match="width 2 must be >= 3"):
+        core3_times_3xm(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2], [3, 4], [5, 6]]))
 
 
 def test_core_block_count_examples():
@@ -175,13 +167,6 @@ def test_mul_odd_n_over_odd_modulus():
         A = random_matrix(ring, l, n, rng)
         B = random_matrix(ring, n, m, rng)
         assert mul_odd_n(A, B) == naive(A, B)
-
-
-def test_mat_add_examples():
-    X = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
-    Y = matrix_from_ints(ZZ, [[10, 20], [30, 40]])
-    assert mat_add(X, Y).to_rows() == [[11, 22], [33, 44]]
-    assert mat_add(X, Matrix.zeros(ZZ, 2, 2)) == X
 
 
 def test_count_beats_or_ties_odd_waksman():
