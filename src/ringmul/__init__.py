@@ -41,11 +41,9 @@ from .rings import (
     Counted,
     CountedRing,
     IntegerRing,
-    IntMat2,
     Mat2Ring,
     Mod,
     ModularRing,
-    MulTally,
     Ring,
     ZZ,
     halve_exact,
@@ -61,13 +59,11 @@ __all__ = [
     "CountedRing",
     "CountMismatch",
     "ExactHalveUnavailable",
-    "IntMat2",
     "IntegerRing",
     "Mat2Ring",
     "Matrix",
     "Mod",
     "ModularRing",
-    "MulTally",
     "NotEvenlyDivisible",
     "PolynomialRing",
     "Ring",

@@ -1,4 +1,5 @@
-"""Dense row-major matrices over an arbitrary ring."""
+"""Dense row-major matrices over an arbitrary ring.  A square Matrix is
+itself a ring element, e.g. of the non-commutative rings.Mat2Ring."""
 
 from __future__ import annotations
 
@@ -90,15 +91,38 @@ class Matrix:
     def map_entries(self, f, ring=None):
         return Matrix(ring or self.ring, self.rows, self.cols, [f(v) for v in self.data])
 
+    def _pairs(self, other, verb):
+        """Both entry lists zipped; ShapeError unless other has this shape."""
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot {verb} {self.rows}x{self.cols} and {other.rows}x{other.cols}")
+        return zip(self.data, other.data)
+
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [x + y for x, y in zip(self.data, other.data)],
-        )
+        return Matrix(self.ring, self.rows, self.cols, [x + y for x, y in self._pairs(other, "add")])
+
+    def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return Matrix(self.ring, self.rows, self.cols, [x - y for x, y in self._pairs(other, "subtract")])
+
+    def __neg__(self):
+        return Matrix(self.ring, self.rows, self.cols, [-x for x in self.data])
+
+    def __mul__(self, other):
+        """The reference product, baseline.naive; `multiply` chooses schedules."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        from .baseline import naive  # baseline imports this module
+
+        return naive(self, other)
+
+    def halve(self):
+        """Each entry halved by rings.halve_exact; NotEvenlyDivisible on an odd one."""
+        from .rings import halve_exact  # rings imports this module
+
+        return self.map_entries(halve_exact)
 
     def __eq__(self, other):
         return (

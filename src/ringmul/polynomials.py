@@ -14,6 +14,8 @@ symbolic verification in `ringmul.verify` conclusive.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import NotEvenlyDivisible, TermBudgetExceeded
 from .rings import Ring
 
@@ -112,7 +114,7 @@ class PolynomialRing(Ring):
         return self.from_int(1)
 
     def from_int(self, k):
-        k = int(k)
+        k = operator.index(k)
         if k == 0:
             return SparsePolynomial(self, {})
         return SparsePolynomial(self, {self._zero_exp: k})

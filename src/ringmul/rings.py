@@ -6,11 +6,14 @@ minus, ``*`` and ``==``.  A ring object only manufactures elements
 capabilities; every algorithm in this package is written against the
 element operators, so any element type with those operators works
 unchanged.  In particular plain ``int`` is the element type of the
-default integer ring.
+default integer ring, and a 2x2 Matrix over ZZ that of Mat2Ring.
+``from_int`` takes an integer only: TypeError for a float or a string.
+A CountedRing is one counted run's tally: its elements bill it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import ExactHalveUnavailable, NotEvenlyDivisible
@@ -89,7 +92,7 @@ class IntegerRing(Ring):
         return 1
 
     def from_int(self, k):
-        return int(k)
+        return operator.index(k)
 
     def random_element(self, rng):
         return rng.randint(-99, 99)
@@ -184,6 +187,8 @@ class ModularRing(Ring):
     """Integers modulo a fixed modulus >= 2."""
 
     def __init__(self, modulus):
+        if not isinstance(modulus, int):
+            raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
@@ -240,127 +245,50 @@ class ModularRing(Ring):
         return Mod(1, self.modulus)
 
     def from_int(self, k):
-        return Mod(int(k), self.modulus)
+        return Mod(operator.index(k), self.modulus)
 
     def random_element(self, rng):
         return Mod(rng.randrange(self.modulus), self.modulus)
 
 
-class IntMat2:
-    """2x2 integer matrix under matrix product.
+class Mat2Ring(Ring):
+    """Ring of 2x2 integer matrices (non-commutative), whose elements are
+    the library's own Matrix over ZZ; random draws take each entry from
+    -2..2.
 
     Deliberately non-commutative: used as a negative witness showing that
     the fast schedules really depend on commutativity of the scalars.
     """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-    def __add__(self, o):
-        if not isinstance(o, IntMat2):
-            return NotImplemented
-        return IntMat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    def __sub__(self, o):
-        if not isinstance(o, IntMat2):
-            return NotImplemented
-        return IntMat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
-    def __mul__(self, o):
-        if not isinstance(o, IntMat2):
-            return NotImplemented
-        return IntMat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def __neg__(self):
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
-
-    def __eq__(self, o):
-        return (
-            isinstance(o, IntMat2)
-            and self.a == o.a
-            and self.b == o.b
-            and self.c == o.c
-            and self.d == o.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def halve(self):
-        if any(v % 2 for v in (self.a, self.b, self.c, self.d)):
-            raise NotEvenlyDivisible(f"{self!r} has an odd entry")
-        return IntMat2(self.a // 2, self.b // 2, self.c // 2, self.d // 2)
-
-    def __repr__(self):
-        return f"IntMat2({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-class Mat2Ring(Ring):
-    """Ring of 2x2 integer matrices (non-commutative); random draws take
-    each entry from -2..2."""
 
     name = "mat2"
     commutative = False
     supports_halving = True
 
     def zero(self):
-        return IntMat2(0, 0, 0, 0)
+        return Matrix(ZZ, 2, 2, [0, 0, 0, 0])
 
     def one(self):
-        return IntMat2(1, 0, 0, 1)
+        return Matrix(ZZ, 2, 2, [1, 0, 0, 1])
 
     def from_int(self, k):
-        k = int(k)
-        return IntMat2(k, 0, 0, k)
+        k = operator.index(k)
+        return Matrix(ZZ, 2, 2, [k, 0, 0, k])
 
     def random_element(self, rng):
-        return IntMat2(*(rng.randint(-2, 2) for _ in range(4)))
+        return Matrix(ZZ, 2, 2, [rng.randint(-2, 2) for _ in range(4)])
 
     def random_diagonal(self, rng):
         """Sample from the commutative subring of diagonal matrices."""
-        return IntMat2(rng.randint(-2, 2), 0, 0, rng.randint(-2, 2))
-
-
-class MulTally:
-    """Operations executed in one computation: count, the general ring
-    multiplications that the cost model prices, and apart from them adds
-    (each ``+``, ``-`` and unary minus) and exact halvings.  untainted
-    counts the multiplications that consumed an operand not derived from
-    the inputs; the schedules here never perform one.
-
-    Owned by a single CountedRing context; never shared between
-    concurrent computations.
-    """
-
-    __slots__ = ("count", "adds", "halvings", "untainted")
-
-    def __init__(self):
-        self.count = self.adds = self.halvings = self.untainted = 0
-
-    def __repr__(self):
-        return (
-            f"MulTally({self.count}, adds={self.adds}, halvings={self.halvings}, "
-            f"untainted={self.untainted})"
-        )
+        return Matrix(ZZ, 2, 2, [rng.randint(-2, 2), 0, 0, rng.randint(-2, 2)])
 
 
 class Counted:
-    """Element wrapper billing each operation to its context's tally.
+    """Element wrapper billing each operation to its CountedRing context.
 
     taint is True once a value depends on some input matrix entry.
     Constants injected by an algorithm (zero, one, from_int) stay
-    untainted, and the tally's untainted field counts any multiplication
-    that consumed an untainted operand.
+    untainted, and the context's untainted field counts any
+    multiplication that consumed an untainted operand.
     """
 
     __slots__ = ("ctx", "value", "taint")
@@ -373,26 +301,26 @@ class Counted:
     def __add__(self, other):
         if not isinstance(other, Counted):
             return NotImplemented
-        self.ctx.tally.adds += 1
+        self.ctx.adds += 1
         return Counted(self.ctx, self.value + other.value, self.taint or other.taint)
 
     def __sub__(self, other):
         if not isinstance(other, Counted):
             return NotImplemented
-        self.ctx.tally.adds += 1
+        self.ctx.adds += 1
         return Counted(self.ctx, self.value - other.value, self.taint or other.taint)
 
     def __mul__(self, other):
         if not isinstance(other, Counted):
             return NotImplemented
         ctx = self.ctx
-        ctx.tally.count += 1
+        ctx.count += 1
         if not (self.taint and other.taint):
-            ctx.tally.untainted += 1
+            ctx.untainted += 1
         return Counted(ctx, self.value * other.value, self.taint or other.taint)
 
     def __neg__(self):
-        self.ctx.tally.adds += 1
+        self.ctx.adds += 1
         return Counted(self.ctx, -self.value, self.taint)
 
     def __eq__(self, other):
@@ -402,7 +330,7 @@ class Counted:
 
     def halve(self):
         # Tallied apart: exact halving is free in the cost model's count.
-        self.ctx.tally.halvings += 1
+        self.ctx.halvings += 1
         return Counted(self.ctx, halve_exact(self.value), self.taint)
 
     def __repr__(self):
@@ -411,16 +339,20 @@ class Counted:
 
 
 class CountedRing(Ring):
-    """Instrumented view of a base ring.
+    """Instrumented view of a base ring, and the tally of one computation.
 
-    One instance is one computation context: it owns the MulTally that
-    its elements bill, so concurrent computations never share state.
-    tally() makes one per counted run.
+    Its elements bill the operations they execute to it: count, the
+    general ring multiplications that the cost model prices, and apart
+    from them adds (each ``+``, ``-`` and unary minus) and exact
+    halvings.  untainted counts the multiplications that consumed an
+    operand not derived from the inputs; the schedules here never
+    perform one.  One instance is one computation context, so concurrent
+    computations never share state; tally() makes one per counted run.
     """
 
     def __init__(self, base):
         self.base = base
-        self.tally = MulTally()
+        self.count = self.adds = self.halvings = self.untainted = 0
         self.name = f"counted({base.name})"
 
     @property
@@ -445,14 +377,15 @@ def tally(program, A, B):
     """Run program(A, B) once over a fresh CountedRing(A.ring).
 
     Every entry of A and B enters as a tainted input.  Returns (the
-    product over A.ring, the run's MulTally).  Raises ValueError when B
-    is over another ring than A.
+    product over A.ring, the run's CountedRing), whose count, adds,
+    halvings and untainted are the run's tally.  Raises ValueError when
+    B is over another ring than A.
     """
     if B.ring.name != A.ring.name:
         raise ValueError(f"B over {B.ring.name}, A over {A.ring.name}")
     ctx = CountedRing(A.ring)
     C = program(*(M.map_entries(lambda v: Counted(ctx, v, True), ring=ctx) for M in (A, B)))
-    return C.map_entries(lambda e: e.value, ring=A.ring), ctx.tally
+    return C.map_entries(lambda e: e.value, ring=A.ring), ctx
 
 
 class AxiomFailure(NamedTuple):

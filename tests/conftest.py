@@ -1,6 +1,6 @@
 import pytest
 
-from ringmul import ZZ, IntMat2, Mat2Ring, Matrix, matrix_from_ints, tally
+from ringmul import ZZ, Mat2Ring, Matrix, matrix_from_ints, tally
 
 # Frozen regression fixture: 3x3 matrices over 2x2 integer matrices on
 # which the 21-multiplication schedule disagrees with the textbook
@@ -18,7 +18,7 @@ WITNESS_B = (
 
 
 def mat2_matrix(ring, rows):
-    return Matrix.from_rows(ring, [[IntMat2(*e) for e in r] for r in rows])
+    return Matrix.from_rows(ring, [[Matrix(ZZ, 2, 2, e) for e in r] for r in rows])
 
 
 @pytest.fixture
@@ -28,5 +28,5 @@ def frozen_noncommutative_pair():
 
 
 def run_counted(kernel, a_rows, b_rows):
-    """tally of kernel on integer rows: (product over ZZ, MulTally)."""
+    """tally of kernel on integer rows: (product over ZZ, the run's CountedRing)."""
     return tally(kernel, matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, b_rows))

@@ -352,7 +352,7 @@ def test_generated_folds_match_the_left_fold(kind, left, right):
             ctx = CountedRing(ZZ)
             lifted = [[Counted(ctx, v, True) for v in side] for side in (a, b)]
             values.append(fold(kind, *lifted))
-            tallies.append((ctx.tally.count, ctx.tally.adds, ctx.tally.halvings))
+            tallies.append((ctx.count, ctx.adds, ctx.halvings))
         assert values[0] == values[1]
         assert tallies[0] == tallies[1], (kind, terms)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringmul import Matrix, ModularRing, ShapeError, ZZ, matrix_from_ints, random_matrix
+from ringmul import Matrix, ModularRing, NotEvenlyDivisible, ShapeError, ZZ, matrix_from_ints, naive, random_matrix
 
 
 def test_row_major_layout():
@@ -57,6 +57,42 @@ def test_add_shape_mismatch():
     Y = matrix_from_ints(ZZ, [[1], [2]])
     with pytest.raises(ShapeError):
         X + Y
+
+
+def test_sub_and_neg_entrywise():
+    X = matrix_from_ints(ZZ, [[1, -2], [3, 4]])
+    Y = matrix_from_ints(ZZ, [[10, 20], [30, 40]])
+    assert (Y - X).to_rows() == [[9, 22], [27, 36]]
+    assert (-X).to_rows() == [[-1, 2], [-3, -4]]
+    assert X - X == Matrix.zeros(ZZ, 2, 2) == X + (-X)
+    with pytest.raises(ShapeError, match="cannot subtract 1x2 and 2x1"):
+        matrix_from_ints(ZZ, [[1, 2]]) - matrix_from_ints(ZZ, [[1], [2]])
+
+
+def test_halve_entrywise():
+    X = matrix_from_ints(ZZ, [[2, -4, 0], [6, 8, -10]])
+    assert X.halve().to_rows() == [[1, -2, 0], [3, 4, -5]]
+    assert matrix_from_ints(ModularRing(7), [[3]]).halve()[0, 0].value == 5
+    with pytest.raises(NotEvenlyDivisible):
+        matrix_from_ints(ZZ, [[2, 3]]).halve()
+
+
+def test_mul_is_the_textbook_product():
+    rng = random.Random(3)
+    for l, n, m in ((1, 1, 1), (2, 3, 4), (3, 3, 3), (4, 1, 2)):
+        A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
+        assert A * B == naive(A, B)
+    X = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
+    assert (X * X).to_rows() == [[7, 10], [15, 22]]
+    with pytest.raises(ShapeError):
+        X * matrix_from_ints(ZZ, [[1, 2, 3]])
+
+
+def test_operators_refuse_operands_that_are_not_matrices():
+    X = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
+    for op in (lambda: X * 3, lambda: 3 * X, lambda: X + 1, lambda: X - 1):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_slices():

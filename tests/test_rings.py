@@ -1,5 +1,6 @@
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,15 +11,17 @@ from ringmul import (
     CountedRing,
     ExactHalveUnavailable,
     IntegerRing,
-    IntMat2,
     Mat2Ring,
+    Matrix,
     Mod,
     ModularRing,
     NotEvenlyDivisible,
+    PolynomialRing,
     ZZ,
     halve_exact,
     matrix_from_ints,
     mul_33_33,
+    naive,
     random_matrix,
     ring_axiom_check,
     tally,
@@ -64,9 +67,45 @@ def test_halving_capability_flags():
 
 
 def test_mat2_halve():
-    assert halve_exact(IntMat2(2, 4, -6, 0)) == IntMat2(1, 2, -3, 0)
+    assert halve_exact(Matrix(ZZ, 2, 2, [2, 4, -6, 0])) == Matrix(ZZ, 2, 2, [1, 2, -3, 0])
     with pytest.raises(NotEvenlyDivisible):
-        halve_exact(IntMat2(2, 3, 4, 6))
+        halve_exact(Matrix(ZZ, 2, 2, [2, 3, 4, 6]))
+
+
+def test_mat2_elements_are_2x2_matrices_over_zz():
+    ring = Mat2Ring()
+    assert ring.zero() == Matrix(ZZ, 2, 2, [0, 0, 0, 0])
+    assert ring.one() == Matrix(ZZ, 2, 2, [1, 0, 0, 1])
+    assert ring.from_int(-3) == Matrix(ZZ, 2, 2, [-3, 0, 0, -3])
+    x = ring.random_element(random.Random(5))
+    assert x.ring is ZZ and x.shape == (2, 2)
+    assert x * ring.one() == x == ring.one() * x
+
+
+NOT_INTEGERS = [7.9, 7.0, "7", Fraction(15, 2)]
+NOT_INTEGER_IDS = ["float", "integral-float", "str", "Fraction"]
+
+
+@pytest.mark.parametrize("ring", [ZZ, ModularRing(7), Mat2Ring(), PolynomialRing(["x"])], ids=repr)
+@pytest.mark.parametrize("k", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_from_int_takes_integers_only(ring, k):
+    with pytest.raises(TypeError):
+        ring.from_int(k)
+    with pytest.raises(TypeError):
+        matrix_from_ints(ring, [[1, k]])
+    assert ring.from_int(True) == ring.one()
+
+
+@pytest.mark.parametrize("modulus", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_modular_ring_refuses_a_modulus_that_is_not_an_int(modulus):
+    with pytest.raises(TypeError):
+        ModularRing(modulus)
+
+
+@pytest.mark.parametrize("modulus", [1, 0, -7, True, False])
+def test_modular_ring_refuses_a_modulus_below_2(modulus):
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        ModularRing(modulus)
 
 
 def test_mod_arithmetic_stays_reduced():
@@ -207,14 +246,14 @@ def test_counted_only_mul_bumps_tally():
     _ = x + y
     _ = x - y
     _ = -x
-    assert ctx.tally.count == 0
+    assert ctx.count == 0
     z = x * y
-    assert ctx.tally.count == 1
+    assert ctx.count == 1
     assert z.value == 12
     _ = z.halve()
-    assert ctx.tally.count == 1  # halving is free
+    assert ctx.count == 1  # halving is free
     # the operations traded for multiplications are tallied apart
-    assert (ctx.tally.adds, ctx.tally.halvings) == (3, 1)
+    assert (ctx.adds, ctx.halvings) == (3, 1)
 
 
 def test_counted_taint_propagation():
@@ -232,8 +271,24 @@ def test_contexts_are_isolated():
     ctx2 = CountedRing(IntegerRing())
     a = Counted(ctx1, 2, True)
     _ = a * a
-    assert ctx1.tally.count == 1
-    assert ctx2.tally.count == 0
+    assert ctx1.count == 1
+    assert ctx2.count == 0
+
+
+def test_tally_returns_the_context_its_elements_bill():
+    seen = []
+
+    def product(A, B):
+        seen.append(A.data[0].ctx)
+        return naive(A, B)
+
+    M = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
+    _, first = tally(product, M, M)
+    assert first is seen[0] and isinstance(first, CountedRing)
+    assert (first.count, first.adds, first.halvings, first.untainted) == (8, 4, 0, 0)
+    _, second = tally(product, M, M)
+    assert second is seen[1] and second is not first
+    assert (second.count, first.count) == (8, 8)
 
 
 def test_tally_rejects_b_over_another_ring():

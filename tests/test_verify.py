@@ -348,10 +348,21 @@ def test_count_audit_examples():
     assert count_audit(Strategy.NAIVE, 2, 2, 2).observed == 8
 
 
-def test_count_audit_runs_at_least_two_inputs():
+def test_count_audit_runs_at_least_two_inputs(monkeypatch):
+    import ringmul.verify as verify
+
+    runs = []
+    real_tally = verify.tally
+
+    def counting_tally(program, A, B):
+        runs.append((A.to_rows(), B.to_rows()))
+        return real_tally(program, A, B)
+
+    monkeypatch.setattr(verify, "tally", counting_tally)
     # (n-1)(lm+l+m-1)/2 + lm at (2,3,2) is 2*7/2 + 4
-    report = count_audit(Strategy.WAKSMAN_ODD, 2, 3, 2, trials=1)
+    report = count_audit(Strategy.WAKSMAN_ODD, 2, 3, 2)
     assert report.predicted == report.observed == 11
+    assert len(runs) == 2 and runs[0] != runs[1]
 
 
 def test_count_audit_mismatch_raises():
