@@ -2,12 +2,13 @@
 multiplication counts.
 
 The fast schedules here trade general ring multiplications for
-additions: an n x 3 times 3 x 3 product costs 6n + 3 multiplications
-(21 for two 3 x 3 matrices), and an l x n times n x m product for odd n
-costs n(lm + l + m - 1)/2 (odd m) or (n(lm + l + m - 1) + l - 1)/2
-(even m).  Everything is computed exactly, over integers, residues,
-or polynomials; `ringmul.verify` proves each schedule over the free
-commutative ring and audits the advertised counts.
+additions: the strategy `general` multiplies l x n by n x m for odd n
+in n(lm + l + m - 1)/2 multiplications (odd m) or
+(n(lm + l + m - 1) + l - 1)/2 (even m), which is 6n + 3 for n x 3 times
+3 x 3 and 21 for two 3 x 3 matrices.  Everything is computed exactly,
+over integers, residues, or polynomials; `ringmul.verify` proves each
+schedule over the free commutative ring and audits the counts of the
+strategy table, which `multiply` reports without counting.
 
 `multiply` needs neither verification nor polynomials, so they load on
 first use: the submodules `verify` and `polynomials`, the five verify
@@ -29,13 +30,7 @@ from .errors import (
     UnsupportedShape,
     WitnessNotFound,
 )
-from .general import (
-    core3_times_3xm,
-    mul_33_33,
-    mul_n3_33,
-    mul_odd_n,
-    mul_odd_n_winograd,
-)
+from .general import core3_times_3xm, mul_odd_n, mul_odd_n_winograd
 from .matrices import Matrix, matrix_from_ints, random_matrix
 from .rings import (
     Counted,
@@ -80,8 +75,6 @@ __all__ = [
     "halve_exact",
     "kernel_for",
     "matrix_from_ints",
-    "mul_33_33",
-    "mul_n3_33",
     "mul_odd_n",
     "mul_odd_n_winograd",
     "multiply",

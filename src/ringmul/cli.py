@@ -21,7 +21,7 @@ The verify suites walk one grid: every (strategy, l, n, m) within
 --max-shape that the strategy table in ringmul.dispatch marks
 applicable.  The symbolic suite clips that grid to 4,7,7, since its
 polynomial expansion costs the most; at the default 3,7,6 each suite
-runs 417 checks.
+runs 414 checks.
 
 Exit codes: 0 success, 1 verification failure, 2 input/shape error,
 3 capability error: the chosen strategy cannot run this shape or over
@@ -414,9 +414,8 @@ def cmd_bench(args):
     rows = []
     for s in strategies:
         times = []
-        # one call more than --reps: the first pays one-off costs, such as
-        # counting the kernel at this shape and generating inner-product
-        # code, and is reported on its own
+        # one call more than --reps: the first pays the one-off cost of
+        # generating inner-product code, and is reported on its own
         for _ in range(args.reps + 1):
             t0 = time.perf_counter()
             _multiply(A, B, s)

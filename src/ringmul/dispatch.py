@@ -1,6 +1,6 @@
 """Strategy selection, closed-form count prediction, and the front-door
-multiply that runs every product bare and counts each (kernel, shape)
-once, on zeros."""
+multiply that runs every product bare and reports the strategy table's
+count for it."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from typing import Callable, NamedTuple
 
 from . import baseline, general
 from .errors import ExactHalveUnavailable, UnsupportedShape
-from .matrices import Matrix
-from .rings import ZZ, tally
 
 
 class Strategy(Enum):
@@ -19,7 +17,6 @@ class Strategy(Enum):
     WINOGRAD_EVEN = "winograd-even"
     WAKSMAN_EVEN = "waksman-even"
     WAKSMAN_ODD = "waksman-odd"
-    CORE3 = "core3"
     GENERAL_ODD = "general"
     GENERAL_WINOGRAD = "general-winograd"
     GENERAL_TRANSPOSED = "general-transposed"
@@ -28,12 +25,12 @@ class Strategy(Enum):
 
 
 class CostReport(NamedTuple):
-    """Observed multiplication tally next to the formula prediction.
+    """A strategy's multiplication count at a shape, twice.
 
-    observed is the multiplication tally of this kernel at this shape,
-    counted by one `tally` run on zero matrices of that shape and cached
-    per process (see multiply); no product passes through the counting
-    elements.
+    predicted is the strategy table's closed form.  observed is the count
+    that count_audit checks the row's kernel against: from multiply it is
+    the same figure, for multiply itself counts nothing; from count_audit
+    it is the kernel's `tally`.
     """
 
     strategy: Strategy
@@ -59,14 +56,16 @@ def _exact_half(v):
     return q
 
 
-def _core3_count(l, m):
+def _lead_count(l, m):
     """core3_times_3xm's count at l x 3 x m, m >= 3: 6l + 3 at m = 3."""
     return _exact_half(3 * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
 
 
 class _Row(NamedTuple):
-    kernel: Callable  # (A, B) -> A*B; multiply's audit keys on this object
-    domain: Callable  # (l, n, m) -> why a positive shape is outside the domain, or None; no name
+    kernel: Callable  # (A, B) -> A*B
+    # (l, n, m) -> why a positive shape is outside the domain, or None; no
+    # name.  None in _LEAD, which prices a part and is no strategy.
+    domain: Callable | None
     count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
     # the kernel halves when n exceeds this (None: never); there, over a
     # ring without exact halving, multiply refuses the row, not the kernel
@@ -111,7 +110,7 @@ def _split(kernel):
 
 
 _NAIVE = _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None)
-_CORE3 = _Row(general.mul_n3_33, general.n3_m3, lambda l, n, m: _core3_count(l, m), None)
+_LEAD = _Row(general.core3_times_3xm, None, lambda l, n, m: _lead_count(l, m), None)
 _WAKSMAN_EVEN = _Row(
     baseline.waksman_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
 )
@@ -119,10 +118,9 @@ _WINOGRAD_EVEN = _Row(
     baseline.winograd_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m)), None
 )
 
-#: The row that prices each part of a split kernel.  CORE3's count holds
-#: for core3_times_3xm at every m >= 3, so it prices general's lead block.
-_PARTS = {row.kernel: row for row in (_NAIVE, _WAKSMAN_EVEN, _WINOGRAD_EVEN)}
-_PARTS[general.core3_times_3xm] = _CORE3
+#: The row that prices each part of a split kernel.  _LEAD prices
+#: general's lead block, core3_times_3xm at l x 3 x m; it is no strategy.
+_PARTS = {row.kernel: row for row in (_NAIVE, _LEAD, _WAKSMAN_EVEN, _WINOGRAD_EVEN)}
 
 #: Kernel, domain, count formula and halving need of each concrete
 #: strategy, one row each.  Each domain but naive's is the predicate
@@ -137,7 +135,6 @@ _PARTS[general.core3_times_3xm] = _CORE3
 _TABLE = {
     Strategy.NAIVE: _NAIVE,
     Strategy.GENERAL_ODD: _split(general.mul_odd_n),
-    Strategy.CORE3: _CORE3,
     Strategy.WAKSMAN_EVEN: _WAKSMAN_EVEN,
     Strategy.WINOGRAD_EVEN: _WINOGRAD_EVEN,
     Strategy.WAKSMAN_ODD: _split(baseline.waksman_odd),
@@ -198,17 +195,6 @@ def choose_strategy(l, n, m, supports_halving=True):
     )
 
 
-@functools.lru_cache(maxsize=1024)
-def _observed(kernel, l, n, m):
-    """kernel's multiplication tally at (l, n, m), counted on integer zeros.
-
-    Keyed on the table row's kernel, so a kernel replaced in its row is
-    counted afresh.  Two threads that miss together only repeat the
-    replay.
-    """
-    return tally(kernel, Matrix.zeros(ZZ, l, n), Matrix.zeros(ZZ, n, m))[1].count
-
-
 def multiply(A, B, strategy=Strategy.AUTO):
     """Multiply two matrices with a chosen (or auto-selected) strategy.
 
@@ -217,14 +203,12 @@ def multiply(A, B, strategy=Strategy.AUTO):
     runs on the entries' integer values and each output entry is reduced
     once, so no residue operator runs.  Every kernel is a straight-line
     program over the element operators, so its multiplication count
-    depends on the shape alone, not on the ring.  The first time a kernel
-    meets a shape, `tally` replays it once on integer zeros of that
-    shape; the replay only counts, and _observed caches its count (the
-    last 1024 kernel-and-shape keys) as the observed figure of every
-    product of that kernel and shape.  Refusals, such as a halving
-    schedule over an even modulus, come from the strategy table before
-    the replay and the product run, and name the caller's ring.  A
-    kernel replaced in its table row is a new key and is counted afresh.
+    depends on the shape alone, not on the ring.  multiply counts
+    nothing: the report's predicted and observed are both the table's
+    closed form, which verify.count_audit checks each row's kernel
+    against.  Refusals, such as a halving schedule over an even modulus,
+    come from the strategy table before the product runs, and name the
+    caller's ring.
 
     Every schedule but naive relies on commuting entries, so over a ring
     whose `commutative` is False AUTO resolves to NAIVE and any other
@@ -243,6 +227,5 @@ def multiply(A, B, strategy=Strategy.AUTO):
     predicted = predict_count(strategy, l, n, m)
     if not (A.ring.supports_halving or applicable(strategy, l, n, m, False)):
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
-    kernel = kernel_for(strategy)
-    observed = _observed(_TABLE[strategy].kernel, l, n, m)
-    return A.ring.run(kernel, A, B), CostReport(strategy, l, n, m, predicted, observed)
+    report = CostReport(strategy, l, n, m, predicted, predicted)
+    return A.ring.run(kernel_for(strategy), A, B), report

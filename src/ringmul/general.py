@@ -1,4 +1,4 @@
-"""General product for odd inner dimension, and its 3x3 views.
+"""General product for odd inner dimension, and its 3-column lead block.
 
 mul_odd_n multiplies l x n by n x m (n odd >= 3, m >= 3) as a split
 (baseline.inner_split): A = [A1 | A2], B = [B1 over B2] with A1 l x 3,
@@ -38,10 +38,11 @@ that shape is strictly cheaper.
 
 The core block runs the 3-column schedule, 3 products of entries of B
 alone (b_only_products) plus 6 per row (row_step), which is all of the
-6l + 3 product l x 3 times 3 x 3.  core3_times_3xm is the only code
-that spells out the schedule, and mul_n3_33 and mul_33_33 are its only
-m = 3 views.  It extends to the columns beyond the third two at a time:
-each column pair (j, j+1) reuses the three row-level products shared
+6l + 3 product l x 3 times 3 x 3; mul_odd_n at n = 3 is that block
+alone, so the strategy `general` runs it at (l, 3, 3), and at (3, 3, 3)
+in 21 multiplications.  core3_times_3xm is the only code that spells
+out the schedule.  It extends to the columns beyond the third two at a
+time: each column pair (j, j+1) reuses the three row-level products shared
 with columns 1..3 and adds exactly 3 new row-level products per row
 plus 3 products involving only entries of B.  The B-only correction
 products are cached per pair, not per row; that caching is what the
@@ -107,13 +108,12 @@ def core3_times_3xm(A1, B1):
     2(l-1) + 3(lm+m)/2 for even m; the count does not depend on the
     entry values.  m < 3 raises UnsupportedShape, and factors that do
     not meet in 3 columns raise ShapeError.  This is the only code that
-    spells out the 3-column schedule; mul_n3_33 and mul_33_33 are its
-    only m = 3 views.
+    spells out the 3-column schedule.
     """
     l, m = A1.rows, B1.cols
+    baseline._check_inner(A1, B1)
     if m < 3:
         raise UnsupportedShape(f"width {m} must be >= 3")
-    baseline._check_inner(A1, B1)
     if A1.cols != 3:
         raise ShapeError(f"factors must meet in 3 columns, got {A1.cols}")
 
@@ -160,26 +160,6 @@ def core3_times_3xm(A1, B1):
             out.append(rp23 + u2 + (a2 + be3) * (ga3 - a3) - k2)
 
     return Matrix(A1.ring, l, m, out)
-
-
-def n3_m3(l, n, m):
-    """Why (l, n, m) is outside mul_n3_33's domain, or None."""
-    return None if (n, m) == (3, 3) else f"covers (l, 3, 3) shapes only, got ({l}, {n}, {m})"
-
-
-def mul_n3_33(A, B):
-    """n x 3 times 3 x 3 in exactly 6n + 3 multiplications: core3_times_3xm
-    at m = 3.  Domain: n3_m3."""
-    baseline._check_domain(n3_m3, A, B)
-    return core3_times_3xm(A, B)
-
-
-def mul_33_33(A, B):
-    """3x3 product in exactly 21 multiplications: the n = 3 case of
-    mul_n3_33."""
-    if A.shape != (3, 3):
-        raise ShapeError(f"A must be 3x3, got {A.rows}x{A.cols}")
-    return mul_n3_33(A, B)
 
 
 def odd_n_wide(l, n, m, width="m"):

@@ -36,6 +36,8 @@ class SparsePolynomial:
         """self + sign*other, storing no zero coefficient."""
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
+        if other.ring is not self.ring and other.ring.name != self.ring.name:
+            raise ValueError(f"mixed rings {self.ring.name} and {other.ring.name}")
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + sign * c
@@ -57,6 +59,8 @@ class SparsePolynomial:
     def __mul__(self, other):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
+        if other.ring is not self.ring and other.ring.name != self.ring.name:
+            raise ValueError(f"mixed rings {self.ring.name} and {other.ring.name}")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

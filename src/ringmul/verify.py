@@ -10,11 +10,14 @@ Three independent routes:
     the zero polynomial -- which proves the identity over every
     commutative ring at once;
   - count_audit asserts the observed multiplication tally equals the
-    closed-form prediction and is independent of the input values.
+    closed-form prediction and is independent of the input values.  It
+    is what backs the count that `dispatch.multiply` reports, for
+    multiply reads the table's closed form and counts nothing.
 
 noncommutative_witness demonstrates the flip side: over a ring where
-multiplication does not commute (2x2 integer matrices) the 3x3 schedule
-produces wrong answers, so commutativity is genuinely load-bearing.
+multiplication does not commute (2x2 integer matrices) the 3x3 schedule,
+general.core3_times_3xm, produces wrong answers, so commutativity is
+genuinely load-bearing.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ def noncommutative_witness(seed=0, attempts=64):
     for attempt in range(attempts):
         A = random_matrix(ring, 3, 3, rng)
         B = random_matrix(ring, 3, 3, rng)
-        got = general.mul_33_33(A, B)
+        got = general.core3_times_3xm(A, B)
         want = baseline.naive(A, B)
         if got != want:
             diffs = [

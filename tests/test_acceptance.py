@@ -17,10 +17,9 @@ from ringmul import (
     Matrix,
     Strategy,
     ZZ,
+    core3_times_3xm,
     count_audit,
     kernel_for,
-    mul_33_33,
-    mul_n3_33,
     multiply,
     naive,
     noncommutative_witness,
@@ -46,16 +45,17 @@ def _report(num, ok, detail):
 def test_criterion_1_3x3_uses_21_multiplications():
     t0 = time.perf_counter()
     I = Matrix.identity(ZZ, 3)
-    observed = {}
-    for strategy in (Strategy.GENERAL_ODD, Strategy.CORE3):
-        product, report = multiply(I, I, strategy)
-        assert product == I
-        observed[strategy] = report.observed
+    # multiply reports the table's count; tally counts the kernel itself
+    product, report = multiply(I, I, Strategy.GENERAL_ODD)
+    assert product == I
+    product, counted = tally(kernel_for(Strategy.GENERAL_ODD), I, I)
+    assert product == I
+    observed = {"multiply": report.observed, "tally": counted.count}
     elapsed = time.perf_counter() - t0
     ok = all(v == 21 for v in observed.values()) and elapsed < 1.0
-    _report(1, ok, f"3x3 product tallies 21 via both schedules ({elapsed:.3f}s)")
-    assert observed[Strategy.GENERAL_ODD] == 21
-    assert observed[Strategy.CORE3] == 21
+    _report(1, ok, f"3x3 product tallies 21 via multiply's report and the kernel's tally ({elapsed:.3f}s)")
+    assert observed["multiply"] == 21
+    assert observed["tally"] == 21
     assert elapsed < 1.0
 
 
@@ -67,7 +67,7 @@ def test_criterion_2_n_by_3_uses_6n_plus_3():
     for n in range(1, 65):
         A = random_matrix(ring, n, 3, rng)
         B = random_matrix(ring, 3, 3, rng)
-        count = tally(mul_n3_33, A, B)[1].count
+        count = tally(kernel_for(Strategy.GENERAL_ODD), A, B)[1].count
         if count != 6 * n + 3:
             bad.append((n, count))
     elapsed = time.perf_counter() - t0
@@ -141,10 +141,9 @@ def test_criterion_6_oracle_equivalence_1000_trials_per_shape():
     checked = 0
     for l, n, m in GRID:
         rng = random.Random(f"acceptance6:{l}:{n}:{m}")
-        strategies = [Strategy.GENERAL_ODD, Strategy.WAKSMAN_ODD]
+        kernels = [kernel_for(Strategy.GENERAL_ODD), kernel_for(Strategy.WAKSMAN_ODD)]
         if n == 3 and m == 3:
-            strategies.append(Strategy.CORE3)
-        kernels = [kernel_for(s) for s in strategies]
+            kernels.append(core3_times_3xm)  # general's lead block, bare
         an, nm = l * n, n * m
         for _ in range(1000):
             A = Matrix(ZZ, l, n, [rng.randint(-span, span) for _ in range(an)])
@@ -161,7 +160,7 @@ def test_criterion_6_oracle_equivalence_1000_trials_per_shape():
 
 def test_criterion_7_symbolic_identities():
     t0 = time.perf_counter()
-    jobs = [(Strategy.CORE3, l, 3, 3) for l in range(1, 5)]
+    jobs = [(Strategy.GENERAL_ODD, l, 3, 3) for l in range(1, 5)]
     jobs += [
         (Strategy.GENERAL_ODD, l, n, m)
         for l in range(1, 4)
@@ -200,8 +199,8 @@ def test_criterion_8_no_multiplications_by_constants():
         if taint_audit(Strategy.GENERAL_ODD, l, n, m) != 0:
             bad.append((Strategy.GENERAL_ODD, l, n, m))
     for l in range(1, 6):
-        if taint_audit(Strategy.CORE3, l, 3, 3) != 0:
-            bad.append((Strategy.CORE3, l, 3, 3))
+        if taint_audit(Strategy.GENERAL_ODD, l, 3, 3) != 0:
+            bad.append((Strategy.GENERAL_ODD, l, 3, 3))
     elapsed = time.perf_counter() - t0
     _report(8, not bad, f"zero untainted-operand multiplications ({elapsed:.3f}s)")
     assert not bad, bad
@@ -210,7 +209,7 @@ def test_criterion_8_no_multiplications_by_constants():
 def test_criterion_9_commutativity_dependence(frozen_noncommutative_pair):
     t0 = time.perf_counter()
     A, B = frozen_noncommutative_pair
-    schedule = mul_33_33(A, B)
+    schedule = core3_times_3xm(A, B)
     textbook = naive(A, B)
     frozen_differs = schedule != textbook
 
@@ -222,7 +221,7 @@ def test_criterion_9_commutativity_dependence(frozen_noncommutative_pair):
     for _ in range(25):
         D1 = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
         D2 = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
-        if mul_33_33(D1, D2) != naive(D1, D2):
+        if core3_times_3xm(D1, D2) != naive(D1, D2):
             diagonal_agrees = False
     elapsed = time.perf_counter() - t0
     ok = frozen_differs and bool(searched.differing_entries) and diagonal_agrees

@@ -232,9 +232,9 @@ def test_mul_unwritable_out_exit_2(tmp_path, capsys):
 def test_mul_strategy_shape_conflict_exit_3(tmp_path, capsys):
     a = _write(tmp_path / "a.txt", "2 4\n1 2 3 4\n5 6 7 8\n")
     b = _write(tmp_path / "b.txt", "4 3\n1 2 3\n4 5 6\n7 8 9\n1 1 1\n")
-    code, _, stderr = _run(capsys, ["mul", "--a", a, "--b", b, "--strategy", "core3"])
+    code, _, stderr = _run(capsys, ["mul", "--a", a, "--b", b, "--strategy", "general"])
     assert code == 3
-    assert "core3" in stderr
+    assert "general" in stderr
 
 
 def test_mul_refusal_names_the_mirrored_row(tmp_path, capsys):
@@ -258,11 +258,11 @@ _P64 = f"mod:{2**64}"
     "strategy,shape,ring,error",
     [
         pytest.param(
-            "core3",
+            "general",
             (2, 4, 3),
             "int",
-            "strategy core3 does not cover 2x4 times 4x3: core3 covers (l, 3, 3) shapes only, got (2, 4, 3)",
-            id="core3-int",
+            "strategy general does not cover 2x4 times 4x3: general needs odd inner dimension >= 3, got 4",
+            id="general-int-even-n",
         ),
         pytest.param(
             "general",
@@ -633,21 +633,21 @@ def test_verify_symbolic_walks_the_counts_grid_under_the_cap(capsys, bounds):
     assert checks["symbolic"] == checks["counts"]
 
 
-def test_verify_default_bounds_prove_every_row_on_417_checks(capsys):
+def test_verify_default_bounds_prove_every_row_on_414_checks(capsys):
     code, stdout, _ = _run(capsys, ["verify"])
     assert code == 0
     suites = json.loads(stdout)["suites"]
     assert {name: (s["checks"], s["ok"]) for name, s in suites.items()} == {
-        "counts": (417, True),
-        "random": (417, True),
-        "symbolic": (417, True),
+        "counts": (414, True),
+        "random": (414, True),
+        "symbolic": (414, True),
     }
 
 
 def test_verify_symbolic_grid_is_clipped_above_the_cap(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "symbolic", "--max-shape", "16,16,16"])
     assert code == 0
-    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 684
+    assert json.loads(stdout)["suites"]["symbolic"]["checks"] == 680
 
 
 def test_verify_symbolic_covers_each_bound_independently(capsys, monkeypatch):
@@ -697,7 +697,7 @@ def test_bench_csv_includes_applicable_strategies(capsys):
     lines = stdout.strip().splitlines()
     assert lines[0] == "strategy,l,n,m,reps,first_s,median_s,spread_s"
     names = {line.split(",")[0] for line in lines[1:]}
-    assert {"general", "waksman-odd", "naive", "core3"} <= names
+    assert {"general", "waksman-odd", "naive", "general-winograd"} <= names
 
 
 def test_bench_modular_even_inner(capsys):
@@ -773,9 +773,21 @@ def test_bench_accepts_a_modulus_beyond_4300_digits(capsys):
 
 
 def test_bench_unsupported_explicit_strategy_exit_3(capsys):
-    code, _, stderr = _run(capsys, ["bench", "--shape", "2,4,3", "--strategy", "core3"])
+    code, _, stderr = _run(capsys, ["bench", "--shape", "2,4,3", "--strategy", "general"])
     assert code == 3
-    assert "strategy core3 does not cover 2x4 times 4x3" in stderr
+    assert "strategy general does not cover 2x4 times 4x3" in stderr
+
+
+def test_core3_is_no_strategy(tmp_path, capsys):
+    # general runs the 3-column schedule at (l, 3, 3); no row of its own is left
+    with pytest.raises(ValueError):
+        Strategy("core3")
+    a = _write(tmp_path / "a.json", I3)
+    for argv in (["mul", "--a", a, "--b", a, "--strategy", "core3"], ["bench", "--shape", "3,3,3", "--strategy", "core3"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "argument --strategy: invalid choice: 'core3'" in capsys.readouterr().err
 
 
 def test_bench_capability_mismatch_exit_3(capsys):

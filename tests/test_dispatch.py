@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringmul.dispatch as dispatch
+import ringmul.rings as rings
 from ringmul import (
     ExactHalveUnavailable,
     Mat2Ring,
@@ -21,6 +23,7 @@ from ringmul import (
     UnsupportedShape,
     ZZ,
     choose_strategy,
+    cli,
     kernel_for,
     matrix_from_ints,
     multiply,
@@ -46,8 +49,8 @@ CONCRETE = [s for s in Strategy if s is not Strategy.AUTO]
         (Strategy.WAKSMAN_ODD, (1, 1, 1), 1),
         (Strategy.WAKSMAN_EVEN, (2, 2, 2), 7),
         (Strategy.WINOGRAD_EVEN, (2, 2, 2), 8),
-        (Strategy.CORE3, (5, 3, 3), 33),
-        (Strategy.CORE3, (1, 3, 3), 9),
+        (Strategy.GENERAL_ODD, (5, 3, 3), 33),
+        (Strategy.GENERAL_ODD, (1, 3, 3), 9),
         (Strategy.NAIVE, (2, 2, 2), 8),
         (Strategy.NAIVE, (3, 4, 5), 60),
         (Strategy.GENERAL_WINOGRAD, (3, 3, 3), 21),  # general's program at n = 3
@@ -73,8 +76,8 @@ def test_predict_count_values(strategy, shape, expected):
         (Strategy.WINOGRAD_EVEN, (2, 3, 2)),
         (Strategy.WAKSMAN_EVEN, (2, 5, 2)),
         (Strategy.WAKSMAN_ODD, (2, 4, 2)),
-        (Strategy.CORE3, (2, 3, 4)),
-        (Strategy.CORE3, (2, 5, 3)),
+        (Strategy.GENERAL_ODD, (2, 3, 2)),
+        (Strategy.GENERAL_ODD, (2, 6, 3)),
         (Strategy.GENERAL_ODD, (2, 4, 4)),
         (Strategy.GENERAL_ODD, (2, 1, 4)),
         (Strategy.GENERAL_ODD, (2, 5, 2)),
@@ -211,8 +214,7 @@ def test_multiply_runs_the_mirrored_row_where_cheaper(shape, halving, expected, 
     l, n, m = shape
     ring = ZZ if halving else ModularRing(2**64)
     rng = random.Random(25)
-    dispatch._observed.cache_clear()
-    for _ in range(2):  # audited, then warm
+    for _ in range(2):  # a first and a repeated call
         A, B = _random_pair(ring, l, n, m, rng)
         product, report = multiply(A, B)
         assert product == naive(A, B)
@@ -334,7 +336,7 @@ def test_multiply_explicit_strategies_match_naive():
         (Strategy.WINOGRAD_EVEN, 3, 4, 2),
         (Strategy.WAKSMAN_EVEN, 2, 6, 3),
         (Strategy.WAKSMAN_ODD, 3, 5, 2),
-        (Strategy.CORE3, 4, 3, 3),
+        (Strategy.GENERAL_ODD, 4, 3, 3),
         (Strategy.GENERAL_ODD, 2, 7, 5),
     ]
     for strategy, l, n, m in cases:
@@ -372,7 +374,7 @@ def test_multiply_predicted_equals_observed_grid():
 def test_multiply_rejects_bad_explicit_strategy():
     A = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
     with pytest.raises(UnsupportedShape):
-        multiply(A, A, Strategy.CORE3)
+        multiply(A, A, Strategy.GENERAL_ODD)
 
 
 def test_multiply_shape_and_ring_checks():
@@ -382,8 +384,7 @@ def test_multiply_shape_and_ring_checks():
     B = matrix_from_ints(ModularRing(5), [[1], [2]])
     with pytest.raises(ValueError):
         multiply(A, B)
-    # polynomial rings of equal arity over different variables differ too;
-    # the (kernel, shape) key is warm, so the mismatch meets the bare path
+    # polynomial rings of equal arity over different variables differ too
     xy = PolynomialRing(("x", "y"))
     ab = PolynomialRing(("a", "b"))
     A = matrix_from_ints(xy, [[2, 3]])
@@ -394,21 +395,24 @@ def test_multiply_shape_and_ring_checks():
 
 
 # ---------------------------------------------------------------------------
-# the audit cache: one counted run per (kernel, shape), bare runs after it
+# multiply counts nothing: its report is the table's closed form
 
 
 def _random_pair(ring, l, n, m, rng):
     return random_matrix(ring, l, n, rng), random_matrix(ring, n, m, rng)
 
 
+def _refuse_counted_rings(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a CountedRing on the multiply path")
+
+    monkeypatch.setattr(rings.CountedRing, "__init__", refuse)
+
+
 def test_warm_multiply_skips_instrumentation(monkeypatch):
     rng = random.Random(6)
     multiply(*_random_pair(ZZ, 3, 5, 4, rng))
-
-    def refuse(*args):
-        raise AssertionError("tally on a warm (kernel, shape)")
-
-    monkeypatch.setattr(dispatch, "tally", refuse)
+    _refuse_counted_rings(monkeypatch)
     A, B = _random_pair(ZZ, 3, 5, 4, rng)
     product, report = multiply(A, B)
     assert product == naive(A, B)
@@ -419,49 +423,34 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
 
 @pytest.mark.parametrize("ring", [ZZ, ModularRing(2**61 - 1), ModularRing(2**64)], ids=["int", "mod_p61", "mod_2^64"])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (16, 15, 2), (16, 15, 16)])
-def test_cold_multiply_counts_on_zeros_and_runs_the_bare_kernel(monkeypatch, ring, shape):
-    # the first product of a (kernel, shape) comes from the bare kernel;
-    # the counting elements only ever see zeros
-    counted = []
-
-    def recording_tally(program, A, B):
-        counted.extend(A.data + B.data)
-        return tally(program, A, B)
-
-    monkeypatch.setattr(dispatch, "tally", recording_tally)
-    dispatch._observed.cache_clear()
+def test_multiply_builds_no_counted_ring(monkeypatch, tmp_path, capsys, ring, shape):
+    # the first product of a shape, from multiply and from `ringmul mul`
+    # alike, runs the bare kernel and counts nothing
     A, B = _random_pair(ring, *shape, random.Random(26))
+    want = naive(A, B)
+    _refuse_counted_rings(monkeypatch)
     product, report = multiply(A, B)
-    assert product == naive(A, B)
-    assert report.observed == report.predicted
-    assert counted and all(type(e) is int and e == 0 for e in counted)
+    assert product == want
+    assert report.observed == report.predicted == predict_count(report.strategy, *shape)
 
-
-def test_replaced_kernel_is_audited_afresh(monkeypatch):
-    A = matrix_from_ints(ZZ, [[1, 2], [3, 4]])
-    assert multiply(A, A, Strategy.NAIVE)[1].observed == 8
-    original = dispatch._TABLE[Strategy.NAIVE].kernel
-
-    def doubled(A, B):
-        first = original(A, B)
-        original(A, B)  # run twice: tally doubles
-        return first
-
-    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, dispatch._TABLE[Strategy.NAIVE]._replace(kernel=doubled))
-    # the first call counts the new kernel; every later report repeats it
-    for _ in range(2):
-        product, report = multiply(A, A, Strategy.NAIVE)
-        assert product == naive(A, A)
-        assert (report.predicted, report.observed) == (8, 16)
-
-
-def test_audit_table_never_exceeds_its_bound():
-    assert dispatch._observed.cache_info().maxsize == 1024
+    modulus = getattr(ring, "modulus", None)
+    paths = []
+    for name, M in (("a", A), ("b", B)):
+        data = [str(getattr(v, "value", v)) for v in M.data]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rows": M.rows, "cols": M.cols, "data": data}))
+        paths.append(str(path))
+    argv = ["mul", "--a", paths[0], "--b", paths[1], "--report"]
+    if modulus is not None:
+        argv += ["--ring", f"mod:{modulus}"]
+    assert cli.main(argv) == 0
+    product_line, report_line = capsys.readouterr().out.splitlines()
+    assert [int(v) for v in json.loads(product_line)["data"]] == [getattr(v, "value", v) for v in want.data]
+    assert json.loads(report_line) == {**report._asdict(), "strategy": report.strategy.value}
 
 
 def test_concurrent_multiplies_report_true_counts():
-    # cold keys: first calls race with reads and with each other
-    dispatch._observed.cache_clear()
+    # first calls of each shape race with each other
     rng = random.Random(11)
     shapes = [(2, 3, 3), (3, 4, 2), (2, 5, 4), (1, 2, 1), (3, 3, 5)]
     cases = [(A, B, naive(A, B)) for A, B in (_random_pair(ZZ, *s, rng) for s in shapes)]
@@ -492,7 +481,7 @@ def test_concurrent_multiplies_report_true_counts():
 
 
 # ---------------------------------------------------------------------------
-# properties the audit cache relies on
+# properties the table's closed-form counts rely on
 
 _DIM = st.integers(1, 6)
 _ODD = st.integers(0, 3).map(lambda k: 2 * k + 1)
@@ -507,7 +496,6 @@ SHAPES = {
     Strategy.WINOGRAD_EVEN: st.tuples(_DIM, _EVEN, _DIM),
     Strategy.WAKSMAN_EVEN: st.tuples(_DIM, _EVEN, _DIM),
     Strategy.WAKSMAN_ODD: st.tuples(_DIM, _ODD, _DIM),
-    Strategy.CORE3: st.tuples(_DIM, st.just(3), st.just(3)),
     Strategy.GENERAL_ODD: _GENERAL,
     Strategy.GENERAL_WINOGRAD: _GENERAL,
     Strategy.GENERAL_TRANSPOSED: _GENERAL_MIRRORED,
@@ -524,16 +512,12 @@ def test_multiply_audited_then_from_table_matches_naive(strategy, ring, data):
     l, n, m = data.draw(SHAPES[strategy], label="shape")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     predicted = predict_count(strategy, l, n, m)
-    dispatch._observed.cache_clear()
-    A, B = _random_pair(ring, l, n, m, rng)
-    product, report = multiply(A, B, strategy)  # audited
-    assert product == naive(A, B)
-    assert report.observed == report.predicted == predicted
-    A, B = _random_pair(ring, l, n, m, rng)
-    with mock.patch.object(dispatch, "tally", side_effect=AssertionError("tally")):
-        product, report = multiply(A, B, strategy)  # from the cache
-    assert product == naive(A, B)
-    assert report.observed == report.predicted == predicted
+    with mock.patch.object(rings.CountedRing, "__init__", side_effect=AssertionError("CountedRing")):
+        for _ in range(2):
+            A, B = _random_pair(ring, l, n, m, rng)
+            product, report = multiply(A, B, strategy)
+            assert product == naive(A, B)
+            assert report.observed == report.predicted == predicted
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["int", "mod_p61"])
@@ -575,11 +559,9 @@ def _textbook_mod(A, B, modulus):
 @pytest.mark.parametrize("strategy,shape", [(Strategy.WAKSMAN_EVEN, (2, 4, 3)), (Strategy.GENERAL_ODD, (2, 5, 3))])
 @pytest.mark.parametrize("first", [7, 8], ids=["warmed-at-mod7", "cold"])
 def test_even_modulus_refuses_halving_on_every_call(strategy, shape, first):
-    # the audit cache keys on (kernel, shape), not on the ring, so a key
-    # warmed at an odd modulus must still refuse an even one, and the
-    # refusal names the caller's ring whether the key is cold or warm
+    # a shape that ran at an odd modulus must still refuse an even one,
+    # and the refusal names the caller's ring whether or not the shape ran
     rng = random.Random(21)
-    dispatch._observed.cache_clear()
     if first == 7:
         multiply(*_random_pair(ModularRing(7), *shape, rng), strategy)
     A, B = _random_pair(ModularRing(8), *shape, rng)
@@ -592,12 +574,10 @@ def test_even_modulus_refuses_halving_on_every_call(strategy, shape, first):
 
 @pytest.mark.parametrize("modulus", [4, 2**64])
 def test_multiply_refuses_halving_from_the_table_before_any_run(modulus, monkeypatch):
-    # the table alone decides: neither the count replay nor the product
-    # run is reached, and a refused call caches nothing
+    # the table alone decides: the product run is never reached
     def never(*args):
         raise AssertionError("ran a refused strategy")
 
-    monkeypatch.setattr(dispatch, "tally", never)
     monkeypatch.setattr(ModularRing, "run", never)
     ring = ModularRing(modulus)
     rng = random.Random(26)
@@ -607,11 +587,9 @@ def test_multiply_refuses_halving_from_the_table_before_any_run(modulus, monkeyp
     for s in halving:
         for l, n, m in itertools.product(range(1, 7), repeat=3):
             if applicable(s, l, n, m, True) and not applicable(s, l, n, m, False):
-                dispatch._observed.cache_clear()
                 with pytest.raises(ExactHalveUnavailable) as e:
                     multiply(*_random_pair(ring, l, n, m, rng), s)
                 assert str(e.value) == f"ring mod{modulus} lacks exact halving"
-                assert dispatch._observed.cache_info().currsize == 0
                 refused += 1
     assert refused > 100
 
@@ -645,8 +623,7 @@ def test_foreign_entry_raises_on_every_call(shape, entry, error, match):
     rng = random.Random(22)
     ring = ModularRing(7)
     l, n, m = shape
-    dispatch._observed.cache_clear()
-    for side in range(6):  # cold first, then warm; the entry in A, then in B
+    for side in range(6):  # first and repeated calls; the entry in A, then in B
         A, B = _random_pair(ring, l, n, m, rng)
         if side % 2:
             B = _with_entry(B, rng.randrange(n * m), entry)
@@ -680,8 +657,7 @@ def test_residue_multiply_runs_no_residue_operator(monkeypatch):
 
     for op in ("__add__", "__sub__", "__mul__", "__neg__", "halve"):
         monkeypatch.setattr(Mod, op, refuse)
-    dispatch._observed.cache_clear()
-    for _ in range(2):  # audited, then warm
+    for _ in range(2):  # a first and a repeated call
         for A, B, want in cases:
             product, report = multiply(A, B)
             assert [e.value for e in product.data] == want
@@ -711,8 +687,7 @@ def test_residue_products_are_canonical_and_counted(modulus, shape, seed):
     strategies = [s for s in CONCRETE if applicable(s, l, n, m, ring.supports_halving)]
     for strategy in strategies:
         predicted = predict_count(strategy, l, n, m)
-        dispatch._observed.cache_clear()
-        for _ in range(2):  # audited, then warm
+        for _ in range(2):  # a first and a repeated call
             A = Matrix(ring, l, n, [entry() for _ in range(l * n)])
             B = Matrix(ring, n, m, [entry() for _ in range(n * m)])
             product, report = multiply(A, B, strategy)
@@ -730,8 +705,7 @@ def test_auto_over_power_of_two_moduli_runs_general_winograd(modulus):
     # no exact halving mod 2^k, so odd n > 3 takes the halving-free schedule
     rng = random.Random(24)
     ring = ModularRing(modulus)
-    dispatch._observed.cache_clear()
-    for _ in range(2):  # audited, then warm
+    for _ in range(2):  # a first and a repeated call
         A, B = _random_pair(ring, 16, 15, 16, rng)
         product, report = multiply(A, B)
         assert report.strategy is Strategy.GENERAL_WINOGRAD

@@ -46,7 +46,7 @@ RECORDS = [
     (
         SymbolicReport,
         ("strategy", "l", "n", "m", "ok", "entry", "monomial", "coefficient"),
-        (Strategy.CORE3, 1, 3, 3, False, (0, 0), "a11*b11", 1),
+        (Strategy.GENERAL_ODD, 1, 3, 3, False, (0, 0), "a11*b11", 1),
     ),
     (Mismatch, ("trial", "a_rows", "b_rows", "got_rows", "want_rows"), (2, [[1]], [[2]], [[3]], [[2]])),
     (

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from ringmul import (
@@ -80,3 +82,16 @@ def test_random_elements_are_reproducible():
     a = ring.random_element(random.Random(5))
     b = ring.random_element(random.Random(5))
     assert a == b
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_operand_from_another_polynomial_ring_is_refused(op):
+    (x,) = PolynomialRing(["x"]).variables()
+    a, b = PolynomialRing(["a", "b"]).variables()
+    f = getattr(operator, op)
+    for left, right in ((x, a), (x, b), (b, x)):
+        with pytest.raises(ValueError, match=r"mixed rings poly\[.*\] and poly\[.*\]"):
+            f(left, right)
+    # A ring with the same variables is the same ring: rings compare by name.
+    (y,) = PolynomialRing(["x"]).variables()
+    assert f(x, y) == f(x, x)

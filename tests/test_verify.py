@@ -18,9 +18,9 @@ from ringmul import (
     WitnessNotFound,
     ZZ,
     cli,
+    core3_times_3xm,
     count_audit,
     kernel_for,
-    mul_33_33,
     naive,
     noncommutative_witness,
     random_matrix,
@@ -36,8 +36,8 @@ from ringmul import (
 #: One entry per schedule case that the symbolic proof and the kernels'
 #: line coverage both walk.
 SCHEDULE_CASES = [
-    (Strategy.CORE3, (1, 3, 3)),
-    (Strategy.CORE3, (4, 3, 3)),
+    (Strategy.GENERAL_ODD, (1, 3, 3)),
+    (Strategy.GENERAL_ODD, (4, 3, 3)),
     (Strategy.GENERAL_ODD, (2, 3, 5)),
     (Strategy.GENERAL_ODD, (2, 5, 4)),
     (Strategy.GENERAL_ODD, (3, 7, 6)),
@@ -262,9 +262,9 @@ def _mutant_winograd_dropped_correction(A, B):
 @pytest.mark.parametrize(
     "mutant,strategy,shape",
     [
-        (_mutant_core3_p7_sign, Strategy.CORE3, (1, 3, 3)),
-        (_mutant_core3_p7_sign, Strategy.CORE3, (3, 3, 3)),
-        (_mutant_core3_index_swap, Strategy.CORE3, (2, 3, 3)),
+        (_mutant_core3_p7_sign, Strategy.GENERAL_ODD, (1, 3, 3)),
+        (_mutant_core3_p7_sign, Strategy.GENERAL_ODD, (3, 3, 3)),
+        (_mutant_core3_index_swap, Strategy.GENERAL_ODD, (2, 3, 3)),
         (_mutant_waksman_interior_sign, Strategy.WAKSMAN_EVEN, (2, 4, 2)),
         (_mutant_winograd_dropped_correction, Strategy.WINOGRAD_EVEN, (2, 4, 2)),
     ],
@@ -275,7 +275,7 @@ def test_mutations_are_detected(mutant, strategy, shape):
 
 
 def test_p7_sign_flip_witness_names_the_monomial():
-    report = symbolic_verify(Strategy.CORE3, 1, 3, 3, kernel=_mutant_core3_p7_sign)
+    report = symbolic_verify(Strategy.GENERAL_ODD, 1, 3, 3, kernel=_mutant_core3_p7_sign)
     assert not report.ok
     assert report.entry == (0, 0)
     assert report.monomial == "b12*b21"
@@ -305,7 +305,7 @@ def test_randomized_check_naive_self():
 def test_randomized_check_reports_inputs_on_mismatch():
     # over a non-commutative ring the schedule is wrong, and the report
     # must carry the offending inputs in full
-    report = randomized_check(Strategy.CORE3, 3, 3, 3, ring=Mat2Ring(), trials=50, seed=0)
+    report = randomized_check(Strategy.GENERAL_ODD, 3, 3, 3, ring=Mat2Ring(), trials=50, seed=0)
     assert not report.ok
     assert report.mismatch is not None
     assert len(report.mismatch.a_rows) == 3
@@ -342,7 +342,7 @@ def test_randomized_check_deterministic():
 
 
 def test_count_audit_examples():
-    assert count_audit(Strategy.CORE3, 5, 3, 3).predicted == 33
+    assert count_audit(Strategy.GENERAL_ODD, 5, 3, 3).predicted == 33
     report = count_audit(Strategy.GENERAL_ODD, 4, 5, 6)
     assert report.predicted == report.observed == 84
     assert count_audit(Strategy.NAIVE, 2, 2, 2).observed == 8
@@ -393,7 +393,7 @@ def test_count_audit_mismatch_raises():
 @pytest.mark.parametrize(
     "strategy,shape",
     [
-        (Strategy.CORE3, (3, 3, 3)),
+        (Strategy.GENERAL_ODD, (3, 3, 3)),
         (Strategy.GENERAL_ODD, (4, 7, 6)),
         (Strategy.WAKSMAN_EVEN, (3, 4, 3)),
         (Strategy.WINOGRAD_EVEN, (2, 6, 2)),
@@ -425,7 +425,7 @@ def test_witness_search_budget_exhaustion():
 
 def test_frozen_witness_still_disagrees(frozen_noncommutative_pair):
     A, B = frozen_noncommutative_pair
-    assert mul_33_33(A, B) != naive(A, B)
+    assert core3_times_3xm(A, B) != naive(A, B)
 
 
 def test_frozen_witness_naive_is_block_product(frozen_noncommutative_pair):
@@ -449,4 +449,4 @@ def test_diagonal_subring_commutes_with_schedule():
     for _ in range(25):
         A = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
         B = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
-        assert mul_33_33(A, B) == naive(A, B)
+        assert core3_times_3xm(A, B) == naive(A, B)
