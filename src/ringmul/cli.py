@@ -63,8 +63,8 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 #: shared 2-core VM.
 _VERIFY_SHAPE_CAP = 16
 #: The symbolic suite walks the same grid clipped to these L, N, M bounds:
-#: its polynomial expansion grows fastest of the three suites (the full
-#: grid at 10,10,10 takes about 30 s, the clipped one about 0.7 s).
+#: its polynomial expansion grows fastest of the three suites (on a shared
+#: 2-core VM the full grid at 10,10,10 takes about 4 s, the clipped one 0.3 s).
 _SYMBOLIC_CAP = (4, 7, 7)
 #: Largest bound table accepts in each of L, N, M.  table_rows holds every
 #: row before printing: 64,64,64 gives 123,008 rows in 1.1 s (CSV) to
@@ -359,21 +359,11 @@ def cmd_verify(args):
         "symbolic": (_verify_symbolic, tuple(map(min, bounds, _SYMBOLIC_CAP))),
     }
     wanted = list(suites) if args.suite == "all" else [args.suite]
-    summary = {
-        "seed": args.seed,
-        "max_shape": list(bounds),
-        "suites": {},
-        "ok": True,
-    }
+    summary = {"seed": args.seed, "max_shape": list(bounds), "suites": {}}
     for name in wanted:
         checks, failures = _run_suite(*suites[name], args.seed)
-        summary["suites"][name] = {
-            "checks": checks,
-            "failures": failures,
-            "ok": not failures,
-        }
-        if failures:
-            summary["ok"] = False
+        summary["suites"][name] = {"checks": checks, "failures": failures, "ok": not failures}
+    summary["ok"] = all(suite["ok"] for suite in summary["suites"].values())
     print(json.dumps(summary, indent=2))
     return 0 if summary["ok"] else 1
 

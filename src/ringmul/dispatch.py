@@ -195,6 +195,14 @@ def choose_strategy(l, n, m, supports_halving=True):
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _report(strategy, l, n, m):
+    """The CostReport of strategy at (l, n, m), one object per key; it
+    raises, and caches nothing, where predict_count refuses."""
+    predicted = predict_count(strategy, l, n, m)
+    return CostReport(strategy, l, n, m, predicted, predicted)
+
+
 def multiply(A, B, strategy=Strategy.AUTO):
     """Multiply two matrices with a chosen (or auto-selected) strategy.
 
@@ -206,8 +214,9 @@ def multiply(A, B, strategy=Strategy.AUTO):
     depends on the shape alone, not on the ring.  multiply counts
     nothing: the report's predicted and observed are both the table's
     closed form, which verify.count_audit checks each row's kernel
-    against.  Refusals, such as a halving schedule over an even modulus,
-    come from the strategy table before the product runs, and name the
+    against; calls of one strategy and shape share one report.
+    Refusals, such as a halving schedule over an even modulus, come
+    from the strategy table before the product runs, and name the
     caller's ring.
 
     Every schedule but naive relies on commuting entries, so over a ring
@@ -224,8 +233,7 @@ def multiply(A, B, strategy=Strategy.AUTO):
         strategy = Strategy.NAIVE
     if strategy is Strategy.AUTO:
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
-    predicted = predict_count(strategy, l, n, m)
+    report = _report(strategy, l, n, m)
     if not (A.ring.supports_halving or applicable(strategy, l, n, m, False)):
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
-    report = CostReport(strategy, l, n, m, predicted, predicted)
     return A.ring.run(kernel_for(strategy), A, B), report

@@ -1,9 +1,16 @@
 """Sparse integer-coefficient multivariate polynomials.
 
-Terms are stored as ``{exponent_vector: coefficient}`` with one
-non-negative exponent per indeterminate.  Over variables (x0, x1, x2):
+Terms are stored as ``{key: coefficient}``, a term's key being the
+sorted tuple of its variables' indices, one per factor; a constant's
+key is ().  Over variables (x0, x1, x2):
 
-    3*x0*x2 - x1**2   ->   {(1, 0, 1): 3, (0, 2, 0): -1}
+    3*x0*x2**2 - x1   ->   {(0, 2, 2): 3, (1,): -1}
+
+A term product merges two short keys, so products and lookups cost time
+in the terms' degree, not in the number of variables.  Where order
+shows (format_poly's term order, ringmul.verify's witness) terms rank by
+exponent vector: exponents(key), each variable's multiplicity up to the
+key's largest index, compares as the full vector would.
 
 Zero coefficients are never stored, so ``==`` is structural and the zero
 polynomial is the empty map.  These polynomials form the free
@@ -18,6 +25,12 @@ import operator
 
 from .errors import NotEvenlyDivisible, TermBudgetExceeded
 from .rings import Ring
+
+
+def exponents(key):
+    """Each variable's multiplicity in key, up to its largest index:
+    (0, 2, 2), the key of x0*x2**2, gives (1, 0, 2)."""
+    return tuple(map(key.count, range(key[-1] + 1 if key else 0)))
 
 
 class SparsePolynomial:
@@ -39,12 +52,12 @@ class SparsePolynomial:
         if other.ring is not self.ring and other.ring.name != self.ring.name:
             raise ValueError(f"mixed rings {self.ring.name} and {other.ring.name}")
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + sign * c
+        for key, c in other.terms.items():
+            s = terms.get(key, 0) + sign * c
             if s:
-                terms[e] = s
+                terms[key] = s
             else:
-                terms.pop(e, None)
+                terms.pop(key, None)
         return SparsePolynomial(self.ring, terms)
 
     def __add__(self, other):
@@ -54,7 +67,7 @@ class SparsePolynomial:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return SparsePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return SparsePolynomial(self.ring, {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SparsePolynomial):
@@ -62,14 +75,14 @@ class SparsePolynomial:
         if other.ring is not self.ring and other.ring.name != self.ring.name:
             raise ValueError(f"mixed rings {self.ring.name} and {other.ring.name}")
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(sorted(k1 + k2))
+                s = terms.get(key, 0) + c1 * c2
                 if s:
-                    terms[e] = s
+                    terms[key] = s
                 else:
-                    del terms[e]
+                    del terms[key]
         limit = self.ring.max_terms
         if limit is not None and len(terms) > limit:
             raise TermBudgetExceeded(f"{len(terms)} terms exceeds bound {limit}")
@@ -81,12 +94,12 @@ class SparsePolynomial:
     __hash__ = None
 
     def halve(self):
-        for e, c in self.terms.items():
+        for key, c in self.terms.items():
             if c % 2:
                 raise NotEvenlyDivisible(
-                    f"coefficient {c} of {self.ring.format_monomial(e)} is odd"
+                    f"coefficient {c} of {self.ring.format_monomial(key)} is odd"
                 )
-        return SparsePolynomial(self.ring, {e: c // 2 for e, c in self.terms.items()})
+        return SparsePolynomial(self.ring, {key: c // 2 for key, c in self.terms.items()})
 
     def __repr__(self):
         return self.ring.format_poly(self)
@@ -109,7 +122,6 @@ class PolynomialRing(Ring):
         # Rings compare by name, so the name carries the variables: poly[x,y]
         # and poly[a,b] are different rings.
         self.name = f"poly[{','.join(self.names)}]"
-        self._zero_exp = (0,) * self.nvars
 
     def zero(self):
         return SparsePolynomial(self, {})
@@ -119,14 +131,10 @@ class PolynomialRing(Ring):
 
     def from_int(self, k):
         k = operator.index(k)
-        if k == 0:
-            return SparsePolynomial(self, {})
-        return SparsePolynomial(self, {self._zero_exp: k})
+        return SparsePolynomial(self, {(): k} if k else {})
 
     def variable(self, i):
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return SparsePolynomial(self, {tuple(exps): 1})
+        return SparsePolynomial(self, {(i,): 1})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -135,42 +143,24 @@ class PolynomialRing(Ring):
         # Small dense-ish sample: enough structure to exercise the laws.
         p = self.zero()
         for _ in range(rng.randint(1, 3)):
-            exps = [0] * self.nvars
-            for _ in range(rng.randint(0, 2)):
-                exps[rng.randrange(self.nvars)] += 1
+            key = tuple(sorted(rng.randrange(self.nvars) for _ in range(rng.randint(0, 2))))
             coeff = rng.randint(-9, 9)
             if coeff:
-                p = p + SparsePolynomial(self, {tuple(exps): coeff})
+                p = p + SparsePolynomial(self, {key: coeff})
         return p
 
-    def format_monomial(self, exps):
+    def format_monomial(self, key):
         parts = []
-        for name, e in zip(self.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        for i in dict.fromkeys(key):
+            e = key.count(i)
+            parts.append(self.names[i] if e == 1 else f"{self.names[i]}^{e}")
+        return "*".join(parts) or "1"
 
     def format_poly(self, p):
-        if not p.terms:
-            return "0"
-        items = sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
         out = []
-        for e, c in items:
-            mono = self.format_monomial(e)
-            if mono == "1":
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            if out and not piece.startswith("-"):
-                out.append(f"+ {piece}")
-            elif out:
-                out.append(f"- {piece[1:]}")
-            else:
-                out.append(piece)
-        return " ".join(out)
+        for key, c in sorted(p.terms.items(), key=lambda kv: (-len(kv[0]), exponents(kv[0]))):
+            mono = self.format_monomial(key)
+            piece = str(abs(c)) if not key else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            sign = "-" if c < 0 else "+"
+            out.append(f"{sign} {piece}" if out else piece if c > 0 else f"-{piece}")
+        return " ".join(out) or "0"

@@ -8,7 +8,13 @@ Three independent routes:
     (integer polynomials in one indeterminate per matrix entry) and
     checks that every output entry minus the generic product expands to
     the zero polynomial -- which proves the identity over every
-    commutative ring at once;
+    commutative ring at once, at that shape.  Proofs compose: a split
+    row computes A1*B1 + A2*B2, which is AB over any ring, and a mirrored
+    row its row's (BᵀAᵀ)ᵀ, which is AB over any commutative ring.  So
+    proofs of the base kernels (dispatch._PARTS) at every n through two
+    fold blocks past baseline.FOLD_CAP, plus one case per split or
+    mirrored row, run every code path of every row; the test suite
+    proves that set, derived from the table;
   - count_audit asserts the observed multiplication tally equals the
     closed-form prediction and is independent of the input values.  It
     is what backs the count that `dispatch.multiply` reports, for
@@ -29,7 +35,7 @@ from . import baseline, general
 from .dispatch import CostReport, kernel_for, predict_count
 from .errors import CountMismatch, TermBudgetExceeded, WitnessNotFound
 from .matrices import Matrix, random_matrix
-from .polynomials import PolynomialRing
+from .polynomials import PolynomialRing, exponents
 from .rings import ZZ, IntegerRing, Mat2Ring, tally
 
 
@@ -45,7 +51,9 @@ class SymbolicReport(NamedTuple):
     """Outcome of one symbolic identity check.
 
     On failure, entry is the (row, col) of the first wrong output entry
-    and monomial/coefficient give one offending term of the difference.
+    and monomial/coefficient give the least term of its difference by
+    exponent vector over the variables a11..b_nm, compared
+    lexicographically (polynomials.exponents).
     """
 
     strategy: object
@@ -95,12 +103,12 @@ def symbolic_verify(strategy, l, n, m, kernel=None, max_terms=200_000):
             if len(diff.terms) > max_terms:
                 raise TermBudgetExceeded(f"difference has {len(diff.terms)} terms")
             if not diff.is_zero():
-                exps = min(diff.terms)
+                key = min(diff.terms, key=exponents)
                 return SymbolicReport(
                     strategy, l, n, m, False,
                     entry=(i, j),
-                    monomial=ring.format_monomial(exps),
-                    coefficient=diff.terms[exps],
+                    monomial=ring.format_monomial(key),
+                    coefficient=diff.terms[key],
                 )
     return SymbolicReport(strategy, l, n, m, True)
 

@@ -421,6 +421,19 @@ def test_warm_multiply_skips_instrumentation(monkeypatch):
     assert report.observed == report.predicted == 45
 
 
+def test_multiply_returns_one_report_per_strategy_and_shape():
+    rng = random.Random(30)
+    A, B = _random_pair(ZZ, 3, 5, 4, rng)
+    report = multiply(A, B)[1]
+    assert multiply(*_random_pair(ModularRing(7), 3, 5, 4, rng))[1] is report
+    assert multiply(A, B, Strategy.NAIVE)[1] is multiply(A, B, Strategy.NAIVE)[1] is not report
+    # refusals are not cached, and the shape's comes before the ring's
+    A, B = _random_pair(ModularRing(8), 2, 5, 3, rng)
+    for strategy, error in [(Strategy.WAKSMAN_EVEN, UnsupportedShape), (Strategy.GENERAL_ODD, ExactHalveUnavailable)] * 2:
+        with pytest.raises(error):
+            multiply(A, B, strategy)
+
+
 @pytest.mark.parametrize("ring", [ZZ, ModularRing(2**61 - 1), ModularRing(2**64)], ids=["int", "mod_p61", "mod_2^64"])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (16, 15, 2), (16, 15, 16)])
 def test_multiply_builds_no_counted_ring(monkeypatch, tmp_path, capsys, ring, shape):

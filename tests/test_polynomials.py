@@ -1,6 +1,10 @@
+import math
 import operator
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringmul import (
     NotEvenlyDivisible,
@@ -47,7 +51,7 @@ def test_cancellation_never_stores_zero_coefficients():
 def test_exponent_vectors_are_per_variable():
     ring, x, y, z = _xyz()
     p = ring.from_int(3) * x * z * z
-    assert p.terms == {(1, 0, 2): 3}
+    assert p.terms == {(0, 2, 2): 3}
 
 
 def test_halving():
@@ -72,12 +76,48 @@ def test_formatting():
     assert repr(x * y) == "x*y"
     assert repr(x * x) == "x^2"
     assert repr(x * y - ring.from_int(2)) == "x*y - 2"
-    assert ring.format_monomial((0, 0, 0)) == "1"
+    assert ring.format_monomial(()) == "1"
+
+
+def test_terms_print_in_exponent_vector_order():
+    # descending degree, then ascending exponent vector (y before x): a
+    # plain sort of the keys would print "x + y" and "x^2 + x*y - x*z - y*z"
+    ring, x, y, z = _xyz()
+    assert repr(x + y) == "y + x"
+    assert repr((x + y) * (x - z)) == "-y*z - x*z + x*y + x^2"
+
+
+def _value(p, point):
+    return sum(c * math.prod(point[i] for i in key) for key, c in p.terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), nvars=st.integers(1, 6), data=st.data())
+def test_evaluation_commutes_with_the_operations(seed, nvars, data):
+    ring = PolynomialRing([f"v{i}" for i in range(nvars)])
+    rng = random.Random(seed)
+    p, q, r = (ring.random_element(rng) for _ in range(3))
+    point = data.draw(st.lists(st.integers(-20, 20), min_size=nvars, max_size=nvars))
+    P, Q, R = (_value(f, point) for f in (p, q, r))
+    results = [
+        (P + Q, p + q),
+        (P - Q, p - q),
+        (-P, -p),
+        (P * Q * R, p * q * r),
+        (P * (Q - R), p * (q - r)),
+        (P, (p + p).halve()),
+    ]
+    for value, poly in results:
+        assert _value(poly, point) == value
+        assert all(list(key) == sorted(key) and set(key) <= set(range(nvars)) for key in poly.terms)
+    # a product of variables is one term keyed by their sorted indices,
+    # as long as its degree
+    indices = data.draw(st.lists(st.integers(0, nvars - 1), max_size=5))
+    monomial = math.prod((ring.variable(i) for i in indices), start=ring.one())
+    assert monomial.terms == {tuple(sorted(indices)): 1}
 
 
 def test_random_elements_are_reproducible():
-    import random
-
     ring = PolynomialRing(("u", "v"))
     a = ring.random_element(random.Random(5))
     b = ring.random_element(random.Random(5))

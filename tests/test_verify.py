@@ -33,8 +33,39 @@ from ringmul import (
 # symbolic verification
 
 
+#: The fold kind whose width sets how far each base kernel's seams reach.
+_FOLD_KIND = {baseline.naive: "dot", baseline.winograd_even: "paired", baseline.waksman_even: "sign_split"}
+
+
+def _seam_cases():
+    """Each base kernel of dispatch._PARTS at every n of its domain up to
+    two full fold blocks plus one term (n <= width * (2 * FOLD_CAP + 2)),
+    at (l, m) = (1, 1), (1, 2), (2, 3) and (3, 4); and the lead block,
+    which `general` runs alone at n = 3, at l = 1, 2, 4 and m = 3..11.
+
+    A split row is its lead plus its rest (AB = A1*B1 + A2*B2 over any
+    ring) and a mirrored row is its row on BᵀAᵀ, so these and one
+    SCHEDULE_CASES entry per split and mirrored row cover every row at
+    every n.  The set moves with FOLD_CAP.
+    """
+    strategy_of = {row.kernel: s for s, row in dispatch._TABLE.items()}
+    cases = []
+    for kernel, row in dispatch._PARTS.items():
+        if kernel is general.core3_times_3xm:
+            cases += [(Strategy.GENERAL_ODD, (l, 3, m)) for l in (1, 2, 4) for m in range(3, 12)]
+            continue
+        top = baseline._KINDS[_FOLD_KIND[kernel]][0] * (2 * baseline.FOLD_CAP + 2)
+        cases += [
+            (strategy_of[kernel], (l, n, m))
+            for n in range(1, top + 1)
+            for l, m in ((1, 1), (1, 2), (2, 3), (3, 4))
+            if row.domain(l, n, m) is None
+        ]
+    return cases
+
+
 #: One entry per schedule case that the symbolic proof and the kernels'
-#: line coverage both walk.
+#: line coverage both walk: hand-picked cases, then _seam_cases.
 SCHEDULE_CASES = [
     (Strategy.GENERAL_ODD, (1, 3, 3)),
     (Strategy.GENERAL_ODD, (4, 3, 3)),
@@ -49,19 +80,22 @@ SCHEDULE_CASES = [
     (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
     (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
     (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
-    # fold seams past FOLD_CAP = 32 terms, beyond the clipped verify
-    # grid; general's n = 69 leaves a 66-wide remainder, whose 33-term
-    # folds split (n = 67 would leave exactly 32, which never splits)
+    # base kernels past FOLD_CAP = 32 terms; _seam_cases covers these,
+    # and they stay because pytest names each case by its index
     (Strategy.NAIVE, (2, 33, 2)),
     (Strategy.NAIVE, (2, 65, 2)),
     (Strategy.WINOGRAD_EVEN, (2, 66, 2)),
     (Strategy.WAKSMAN_EVEN, (2, 66, 3)),
+    # one case per split and mirrored row with n above its lead's width:
+    # general's n = 69 leaves a 66-wide remainder, whose 33-term folds
+    # split (n = 67 would leave exactly 32, which never splits)
     (Strategy.WAKSMAN_ODD, (2, 67, 2)),
     (Strategy.GENERAL_ODD, (3, 69, 4)),
     (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
     (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
     (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
     (Strategy.WAKSMAN_ODD, (2, 1, 3)),  # n = 1: naive alone
+    *_seam_cases(),
 ]
 
 
@@ -280,6 +314,22 @@ def test_p7_sign_flip_witness_names_the_monomial():
     assert report.entry == (0, 0)
     assert report.monomial == "b12*b21"
     assert report.coefficient == 2
+
+
+def _mutant_naive_reads_b12(A, B):
+    # entry (0, 0) of a 1 x 3 times 3 x 3 product reads b12 where it should read b11
+    C = naive(A, B)
+    out = list(C.data)
+    out[0] = A[0, 0] * B[0, 1] + A[0, 1] * B[1, 0] + A[0, 2] * B[2, 0]
+    return Matrix(C.ring, C.rows, C.cols, out)
+
+
+def test_witness_is_the_least_monomial_by_exponent_vector():
+    # the wrong entry is a11*b12 - a11*b11: over (a11, ..., b33) the
+    # exponent vector of a11*b12 is the smaller, though its key (0, 4)
+    # sorts after a11*b11's (0, 3) as a plain tuple
+    report = symbolic_verify(Strategy.NAIVE, 1, 3, 3, kernel=_mutant_naive_reads_b12)
+    assert (report.entry, report.monomial, report.coefficient) == ((0, 0), "a11*b12", 1)
 
 
 # ---------------------------------------------------------------------------
