@@ -16,9 +16,10 @@ Multiplication counts (l x n times n x m):
     waksman_even   n*(l*m + l + m - 1)/2      (n even, needs halving)
     waksman_odd    (n-1)*(l*m + l + m - 1)/2 + l*m   (n odd)
 
-Exact halvings: waksman_even performs 2*(l + m - 1), one per sign-split
-sum, whatever n is; waksman_odd inherits that count from its even part
-(none when n = 1).  naive and winograd_even perform none.
+The strategy table, ringmul.dispatch._TABLE, holds the executable forms
+of every kernel's multiplications, additions and exact halvings, which
+verify.count_audit checks against the tally.  waksman_even halves once
+per sign-split sum, whatever n is, and waksman_odd through it.
 
 Each inner product is one left fold, and each fold of a given kind and
 length runs as one generated straight-line function (_fold): the
@@ -38,12 +39,6 @@ call.  The cap bounds both the code and its first-use cost: a
 FOLD_CAP-term fold compiles in under a millisecond, where one
 spelled out to a thousand terms would take tens of milliseconds and
 megabytes.
-
-Additions per product, as exact tallies of ``+``, ``-`` and unary minus:
-
-    naive          l*m*(n - 1)
-    winograd_even  (l + m)(h - 1) + l*m*(3h + 1),  h = n/2
-    waksman_even   6h(l + m - 1) + (l - 1)(m - 1)(3h + 1) + (m - 1)[l > 1]
 """
 
 from __future__ import annotations

@@ -304,7 +304,7 @@ def _verify_counts(strategy, l, n, m, seed):
     try:
         verify.count_audit(strategy, l, n, m, seed=seed)
     except CountMismatch as e:
-        return {"predicted": e.predicted, "observed": e.observed}
+        return {"figure": e.figure, "predicted": e.predicted, "observed": e.observed}
     return None
 
 

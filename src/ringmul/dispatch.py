@@ -1,4 +1,4 @@
-"""Strategy selection, closed-form count prediction, and the front-door
+"""Strategy selection, closed-form cost prediction, and the front-door
 multiply that runs every product bare and reports the strategy table's
 count for it."""
 
@@ -56,80 +56,85 @@ def _exact_half(v):
     return q
 
 
-def _lead_count(l, m):
-    """core3_times_3xm's count at l x 3 x m, m >= 3: 6l + 3 at m = 3."""
-    return _exact_half(3 * (l * m + l + m - 1) + (0 if m % 2 else l - 1))
-
-
 class _Row(NamedTuple):
     kernel: Callable  # (A, B) -> A*B
     # (l, n, m) -> why a positive shape is outside the domain, or None; no
     # name.  None in _LEAD, which prices a part and is no strategy.
     domain: Callable | None
-    count: Callable  # (l, n, m) -> closed-form multiplication count on the domain
-    # the kernel halves when n exceeds this (None: never); there, over a
-    # ring without exact halving, multiply refuses the row, not the kernel
-    halves_above: int | None
+    # (l, n, m) -> (multiplications, additions, halvings) on the domain, as
+    # `tally` counts them.  The row halves exactly where halvings > 0; there,
+    # over a ring without exact halving, multiply refuses the row, not the kernel.
+    cost: Callable
 
 
 def _mirrored(row):
     """row's schedule run on the mirrored product BᵀAᵀ, transposed back.
 
     Over a commutative ring AB = (BᵀAᵀ)ᵀ, and a transpose is slicing, so
-    the mirrored row's domain, count and halving need are row's at
-    (m, n, l).  row's domain takes the label of its width dimension, which
-    is the caller's l here, so a refusal names the caller's dimension.
+    the mirrored row's domain and cost are row's at (m, n, l).  row's
+    domain labels its width dimension "l", the caller's name for it.
     """
     kernel = row.kernel
 
     def mirrored(A, B):
         return kernel(B.transpose(), A.transpose()).transpose()
 
-    return _Row(
-        mirrored,
-        lambda l, n, m: row.domain(m, n, l, width="l"),
-        lambda l, n, m: row.count(m, n, l),
-        row.halves_above,
-    )
+    return _Row(mirrored, lambda l, n, m: row.domain(m, n, l, width="l"), lambda l, n, m: row.cost(m, n, l))
 
 
 def _split(kernel):
     """The row of a kernel that baseline.inner_split built from (domain,
-    lead, width, rest): its count is lead's at (l, width, m) plus, when
-    n > width, rest's at (l, n - width, m), and it halves where rest
-    does, width columns further on.  lead never halves.
+    lead, width, rest): its cost is lead's at (l, width, m) plus, when
+    n > width, rest's at (l, n - width, m) and l*m additions for the sum.
     """
     domain, lead, width, rest = kernel.parts
     lead, rest = _PARTS[lead], _PARTS[rest]
 
-    def count(l, n, m):
-        return lead.count(l, width, m) + (rest.count(l, n - width, m) if n > width else 0)
+    def cost(l, n, m):
+        head = lead.cost(l, width, m)
+        if n == width:
+            return head
+        muls, adds, halvings = rest.cost(l, n - width, m)
+        return head[0] + muls, head[1] + adds + l * m, head[2] + halvings
 
-    above = rest.halves_above
-    return _Row(kernel, domain, count, None if above is None else width + above)
+    return _Row(kernel, domain, cost)
 
 
-_NAIVE = _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: l * n * m, None)
-_LEAD = _Row(general.core3_times_3xm, None, lambda l, n, m: _lead_count(l, m), None)
-_WAKSMAN_EVEN = _Row(
-    baseline.waksman_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m - 1)), 0
-)
-_WINOGRAD_EVEN = _Row(
-    baseline.winograd_even, baseline.even_n, lambda l, n, m: _exact_half(n * (l * m + l + m)), None
-)
+def _lead_cost(l, n, m):
+    """core3_times_3xm at l x 3 x m, m >= 3: 6l + 3 multiplications at m = 3."""
+    e = 1 - m % 2  # 1 for even m
+    return _exact_half(3 * (l * m + l + m - 1) + e * (l - 1)), (6 * m - 9 - 3 * e) + l * (6 * m + 3 - e), 0
+
+
+def _winograd_cost(l, n, m):
+    h = n // 2
+    return _exact_half(n * (l * m + l + m)), (l + m) * (h - 1) + l * m * (3 * h + 1), 0
+
+
+def _waksman_cost(l, n, m):
+    """6h additions per sign split, 3h + 1 per remaining entry and u_j - t_1
+    once per column; one halving per sign-split sum."""
+    h = n // 2
+    adds = 6 * h * (l + m - 1) + (l - 1) * (m - 1) * (3 * h + 1) + (m - 1) * (l > 1)
+    return _exact_half(n * (l * m + l + m - 1)), adds, 2 * (l + m - 1)
+
+
+_NAIVE = _Row(baseline.naive, lambda l, n, m: None, lambda l, n, m: (l * n * m, l * m * (n - 1), 0))
+_LEAD = _Row(general.core3_times_3xm, None, _lead_cost)
+_WAKSMAN_EVEN = _Row(baseline.waksman_even, baseline.even_n, _waksman_cost)
+_WINOGRAD_EVEN = _Row(baseline.winograd_even, baseline.even_n, _winograd_cost)
 
 #: The row that prices each part of a split kernel.  _LEAD prices
 #: general's lead block, core3_times_3xm at l x 3 x m; it is no strategy.
 _PARTS = {row.kernel: row for row in (_NAIVE, _LEAD, _WAKSMAN_EVEN, _WINOGRAD_EVEN)}
 
-#: Kernel, domain, count formula and halving need of each concrete
-#: strategy, one row each.  Each domain but naive's is the predicate
-#: that its kernel refuses through; a split row's count and halving
-#: need come from its parts (_split).  The rows are in tie order:
-#: among applicable strategies with the same predicted count,
-#: choose_strategy takes the first row.  naive comes first, so at equal
-#: counts `auto` runs the textbook product, which spends the fewest
-#: additions and never halves.
+#: Kernel, domain and cost of each concrete strategy, one row each: the
+#: one executable source of every count.  Each domain but naive's is the
+#: predicate that its kernel refuses through; a split row's cost comes
+#: from its parts (_split).  The rows are in tie order: among applicable
+#: strategies with the same predicted count, choose_strategy takes the
+#: first row.  naive comes first, so at equal counts `auto` runs the
+#: textbook product, which spends the fewest additions and never halves.
 #: The mirrored rows come last, so `auto` runs a product transposed only
 #: where that is strictly cheaper.
 _TABLE = {
@@ -153,8 +158,8 @@ _TABLE.update({mirror: _mirrored(_TABLE[s]) for s, mirror in MIRRORS.items()})
 TIE_ORDER = tuple(_TABLE)
 
 
-def predict_count(strategy, l, n, m):
-    """Closed-form multiplication count of a strategy on shape (l, n, m).
+def cost(strategy, l, n, m):
+    """Closed-form (multiplications, additions, halvings) of strategy at (l, n, m).
 
     Pure and total on each strategy's supported shapes; raises
     UnsupportedShape outside them.  All formulas are exact integers on
@@ -167,17 +172,21 @@ def predict_count(strategy, l, n, m):
     reason = _TABLE[strategy].domain(l, n, m)
     if reason is not None:
         raise UnsupportedShape(f"{strategy.value} {reason}")
-    return _TABLE[strategy].count(l, n, m)
+    return _TABLE[strategy].cost(l, n, m)
+
+
+def predict_count(strategy, l, n, m):
+    """Closed-form multiplication count of strategy at (l, n, m): cost's first figure."""
+    return cost(strategy, l, n, m)[0]
 
 
 def applicable(strategy, l, n, m, supports_halving):
     """Whether strategy covers (l, n, m) over a ring with or without exact halving."""
     try:
-        predict_count(strategy, l, n, m)
+        halvings = cost(strategy, l, n, m)[2]
     except UnsupportedShape:
         return False
-    above = _TABLE[strategy].halves_above
-    return supports_halving or above is None or n <= above
+    return supports_halving or not halvings
 
 
 @functools.lru_cache(maxsize=1024)
@@ -197,10 +206,10 @@ def choose_strategy(l, n, m, supports_halving=True):
 
 @functools.lru_cache(maxsize=1024)
 def _report(strategy, l, n, m):
-    """The CostReport of strategy at (l, n, m), one object per key; it
-    raises, and caches nothing, where predict_count refuses."""
-    predicted = predict_count(strategy, l, n, m)
-    return CostReport(strategy, l, n, m, predicted, predicted)
+    """The CostReport of strategy at (l, n, m), one object per key, and whether
+    the product halves; it raises, and caches nothing, where cost refuses."""
+    muls, _, halvings = cost(strategy, l, n, m)
+    return CostReport(strategy, l, n, m, muls, muls), halvings > 0
 
 
 def multiply(A, B, strategy=Strategy.AUTO):
@@ -233,7 +242,7 @@ def multiply(A, B, strategy=Strategy.AUTO):
         strategy = Strategy.NAIVE
     if strategy is Strategy.AUTO:
         strategy = choose_strategy(l, n, m, supports_halving=A.ring.supports_halving)
-    report = _report(strategy, l, n, m)
-    if not (A.ring.supports_halving or applicable(strategy, l, n, m, False)):
+    report, halves = _report(strategy, l, n, m)
+    if halves and not A.ring.supports_halving:
         raise ExactHalveUnavailable(f"ring {A.ring.name} lacks exact halving")
     return A.ring.run(kernel_for(strategy), A, B), report

@@ -18,12 +18,14 @@ class NotEvenlyDivisible(ArithmeticError):
 
 
 class CountMismatch(Exception):
-    """Observed multiplication tally differs from the predicted count."""
+    """An observed operation tally differs from the predicted one; figure
+    names which: multiplications, additions or halvings."""
 
-    def __init__(self, message, predicted=None, observed=None):
+    def __init__(self, message, predicted=None, observed=None, figure=None):
         super().__init__(message)
         self.predicted = predicted
         self.observed = observed
+        self.figure = figure
 
 
 class WitnessNotFound(Exception):

@@ -17,22 +17,18 @@ Multiplication counts:
                         (n(lm + l + m - 1) + l - 1)/2 (m even)
     mul_odd_n_winograd  core3_times_3xm's count + (n - 3)(lm + l + m)/2
 
-Additions, tallied as each ``+``, ``-`` and unary minus, with
-e = 1 for even m and 0 for odd m:
-
-    core3_times_3xm     (6m - 9 - 3e) + l(6m + 3 - e), and no halving
-
-Every addition that involves B alone is done once per B (b_only_sums,
-and the per-pair factors in core3_times_3xm), so the lead block at
+The addition and halving forms live, executable, in the strategy table
+(ringmul.dispatch._TABLE); core3_times_3xm never halves.  Every
+addition that involves B alone is done once per B (b_only_sums, and
+the per-pair factors in core3_times_3xm), so the lead block at
 16 x 3 x 16 spends 84 additions on B plus 98 per row.  A split spends
 its parts' additions plus l*m for the sum: at 16 x 15 x 16, mul_odd_n
 spends 1652 + 5406 + 256 = 7314 additions and waksman_even's 62 exact
 halvings, and mul_odd_n_winograd 6932 additions and no halving (the
-textbook product spends 3584 additions).  In the strategy table
-(ringmul.dispatch._TABLE) tie order is table order: naive comes first,
-so `auto` runs mul_odd_n only where it is strictly cheaper than the
-textbook product, and mul_odd_n_winograd only where it is strictly
-cheapest.  The table also runs both on the mirrored product BᵀAᵀ
+textbook product spends 3584 additions).  In the table tie order is
+row order: naive comes first, so `auto` runs mul_odd_n only where it
+is strictly cheaper than the textbook product, and mul_odd_n_winograd
+only where it is strictly cheapest.  The table also runs both on the mirrored product BᵀAᵀ
 (strategies general-transposed and general-winograd-transposed) where
 that shape is strictly cheaper.
 

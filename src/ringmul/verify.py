@@ -15,9 +15,9 @@ Three independent routes:
     fold blocks past baseline.FOLD_CAP, plus one case per split or
     mirrored row, run every code path of every row; the test suite
     proves that set, derived from the table;
-  - count_audit asserts the observed multiplication tally equals the
-    closed-form prediction and is independent of the input values.  It
-    is what backs the count that `dispatch.multiply` reports, for
+  - count_audit asserts that the tallied multiplications, additions and
+    halvings equal the strategy table's closed forms, whatever the input
+    values.  It backs the count that `dispatch.multiply` reports, for
     multiply reads the table's closed form and counts nothing.
 
 noncommutative_witness demonstrates the flip side: over a ring where
@@ -32,7 +32,7 @@ import random
 from typing import NamedTuple
 
 from . import baseline, general
-from .dispatch import CostReport, kernel_for, predict_count
+from .dispatch import CostReport, cost, kernel_for
 from .errors import CountMismatch, TermBudgetExceeded, WitnessNotFound
 from .matrices import Matrix, random_matrix
 from .polynomials import PolynomialRing, exponents
@@ -74,18 +74,16 @@ class SymbolicReport(NamedTuple):
         )
 
 
-def symbolic_verify(strategy, l, n, m, kernel=None, max_terms=200_000):
+def symbolic_verify(strategy, l, n, m, max_terms=200_000):
     """Prove (or refute) a schedule over the free commutative ring.
 
     Builds matrices of distinct indeterminates, runs the strategy's
     kernel, subtracts the generic product sum_k a_ik*b_kj entrywise and
-    reports the first nonzero difference, if any.  kernel overrides the
-    strategy's own callable (used by the mutation tests).  max_terms
-    bounds intermediate polynomial sizes via the ring's resource guard.
+    reports the first nonzero difference, if any.  max_terms bounds
+    intermediate polynomial sizes via the ring's resource guard.
     """
-    if kernel is None:
-        kernel = kernel_for(strategy)
-        predict_count(strategy, l, n, m)  # validates the shape
+    kernel = kernel_for(strategy)
+    cost(strategy, l, n, m)  # validates the shape
     ring = PolynomialRing(entry_names(l, n, m), max_terms=max_terms)
     vs = ring.variables()
     A = Matrix(ring, l, n, vs[: l * n])
@@ -171,26 +169,26 @@ def randomized_check(strategy, l, n, m, ring=None, trials=100, seed=0):
 
 
 def count_audit(strategy, l, n, m, seed=0):
-    """Assert the tally is the predicted count and input-independent.
+    """Assert the tally is the predicted cost and input-independent.
 
     Counts the strategy's kernel afresh, one `tally` run on each of two
-    distinct random inputs; raises CountMismatch if either tally differs
-    from the closed-form prediction (they cannot differ from each other
-    then).  Returns the CostReport.
+    distinct random inputs; raises CountMismatch on the first figure
+    (multiplications, then additions, then halvings) where either tally
+    differs from the table's closed form (they cannot differ from each
+    other then).  Returns the CostReport.
     """
-    predicted = predict_count(strategy, l, n, m)
+    predicted = cost(strategy, l, n, m)
     kernel = kernel_for(strategy)
     rng = random.Random(seed)
     for _ in range(2):
         A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
-        observed = tally(kernel, A, B)[1].count
-        if observed != predicted:
-            raise CountMismatch(
-                f"{strategy} on ({l},{n},{m}): predicted {predicted}, observed {observed}",
-                predicted=predicted,
-                observed=observed,
-            )
-    return CostReport(strategy, l, n, m, predicted, observed)
+        counted = tally(kernel, A, B)[1]
+        observed = counted.count, counted.adds, counted.halvings
+        for figure, want, got in zip(("multiplications", "additions", "halvings"), predicted, observed):
+            if got != want:
+                message = f"{strategy} on ({l},{n},{m}): predicted {want} {figure}, observed {got}"
+                raise CountMismatch(message, predicted=want, observed=got, figure=figure)
+    return CostReport(strategy, l, n, m, predicted[0], observed[0])
 
 
 def taint_audit(strategy, l, n, m, seed=0):

@@ -15,9 +15,11 @@ from ringmul import (
     ModularRing,
     PolynomialRing,
     ShapeError,
+    Strategy,
     UnsupportedShape,
     ZZ,
     core3_times_3xm,
+    count_audit,
     halve_exact,
     matrix_from_ints,
     multiply,
@@ -227,34 +229,31 @@ def _op_tally(kernel, l, n, m, seed=0):
 SEAM_N = 2 * baseline.FOLD_CAP + 2
 
 
+# The base kernels' multiplication, addition and halving forms live in
+# dispatch._TABLE alone; count_audit checks all three against the tally.
+
+
 @pytest.mark.parametrize(
     "l,n,m", [(1, 1, 1), (4, 1, 3), (16, 1, 2), (2, 1, 15), (3, 4, 5), (16, 15, 16), (16, 12, 16), (2, SEAM_N, 3)]
 )
 def test_naive_spends_lm_n_minus_1_additions(l, n, m):
-    assert _op_tally(naive, l, n, m) == (l * n * m, l * m * (n - 1), 0)
+    count_audit(Strategy.NAIVE, l, n, m)
 
 
 @pytest.mark.parametrize("l,n,m", [(1, 2, 1), (3, 4, 5), (16, 12, 16), (2, 8, 7), (2, SEAM_N, 3)])
 def test_winograd_even_addition_count(l, n, m):
-    h = n // 2
-    adds = (l + m) * (h - 1) + l * m * (3 * h + 1)
-    assert _op_tally(winograd_even, l, n, m) == (n * (l * m + l + m) // 2, adds, 0)
+    count_audit(Strategy.WINOGRAD_EVEN, l, n, m)
 
 
 @pytest.mark.parametrize("l,n,m", [(1, 2, 1), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7), (2, SEAM_N, 3)])
 def test_waksman_even_addition_count(l, n, m):
-    # 6h per sign split, 3h + 1 per remaining entry, and u_j - t_1 once per column
-    h = n // 2
-    adds = 6 * h * (l + m - 1) + (l - 1) * (m - 1) * (3 * h + 1) + (m - 1) * (l > 1)
-    assert _op_tally(waksman_even, l, n, m) == (n * (l * m + l + m - 1) // 2, adds, 2 * (l + m - 1))
+    count_audit(Strategy.WAKSMAN_EVEN, l, n, m)
 
 
 @pytest.mark.parametrize("l,m", [(1, 3), (4, 3), (1, 4), (3, 5), (16, 16), (5, 20)])
 def test_core3_addition_count(l, m):
-    # general.py's derived form: B-only additions plus a per-row share
-    e = 1 - m % 2
-    adds = (6 * m - 9 - 3 * e) + l * (6 * m + 3 - e)
-    assert _op_tally(core3_times_3xm, l, 3, m)[1:] == (adds, 0)
+    # general at n = 3 runs the lead block, core3_times_3xm, alone
+    count_audit(Strategy.GENERAL_ODD, l, 3, m)
 
 
 @pytest.mark.parametrize(

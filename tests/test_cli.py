@@ -531,6 +531,22 @@ def test_verify_exits_1_with_witness_on_broken_kernel(capsys, monkeypatch):
     assert failing[0]["observed"] == failing[0]["predicted"] + 1
 
 
+def test_verify_counts_failure_names_the_figure(capsys, monkeypatch):
+    # naive spends one extra addition and the same multiplications
+    original = dispatch._TABLE[Strategy.NAIVE].kernel
+
+    def extra_addition(A, B):
+        C = original(A, B)
+        C[0, 0] + C[0, 0]
+        return C
+
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, dispatch._TABLE[Strategy.NAIVE]._replace(kernel=extra_addition))
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "counts", "--max-shape", "1,2,2"])
+    assert code == 1
+    failing = json.loads(stdout)["suites"]["counts"]["failures"]
+    assert failing[0] == {"strategy": "naive", "shape": [1, 1, 1], "figure": "additions", "predicted": 0, "observed": 1}
+
+
 def test_table_csv(capsys):
     code, stdout, _ = _run(capsys, ["table", "--lmax", "3", "--nmax", "3", "--mmax", "4"])
     assert code == 0

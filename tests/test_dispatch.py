@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -594,17 +595,15 @@ def test_multiply_refuses_halving_from_the_table_before_any_run(modulus, monkeyp
     monkeypatch.setattr(ModularRing, "run", never)
     ring = ModularRing(modulus)
     rng = random.Random(26)
-    halving = [s for s in CONCRETE if dispatch._TABLE[s].halves_above is not None]
-    assert len(halving) == 4
-    refused = 0
-    for s in halving:
+    refused = collections.Counter()
+    for s in CONCRETE:
         for l, n, m in itertools.product(range(1, 7), repeat=3):
-            if applicable(s, l, n, m, True) and not applicable(s, l, n, m, False):
+            if applicable(s, l, n, m, True) and dispatch.cost(s, l, n, m)[2]:
                 with pytest.raises(ExactHalveUnavailable) as e:
                     multiply(*_random_pair(ring, l, n, m, rng), s)
                 assert str(e.value) == f"ring mod{modulus} lacks exact halving"
-                refused += 1
-    assert refused > 100
+                refused[s] += 1
+    assert len(refused) == 4 and sum(refused.values()) > 100
 
 
 def test_even_modulus_hook_gives_the_exact_product_and_the_bare_kernel_refuses():
@@ -739,8 +738,7 @@ def _ops(kernel, l, n, m):
 @given(strategy=st.sampled_from(SPLIT_ROWS), l=st.integers(1, 6), m=st.integers(1, 10))
 def test_split_rows_compose_from_their_parts(strategy, l, m):
     # a split row spends exactly its parts' operations plus l*m additions
-    # for the sum; its predicted count is the parts' tallied count, and it
-    # halves exactly where n exceeds its halves_above
+    # for the sum, and its cost is the parts' tallied operations
     row = dispatch._TABLE[strategy]
     domain, lead, width, rest = row.kernel.parts
     for n in range(1, 12, 2):
@@ -750,6 +748,4 @@ def test_split_rows_compose_from_their_parts(strategy, l, m):
         if n > width:
             muls, adds, halvings = _ops(rest, l, n - width, m)
             parts = (parts[0] + muls, parts[1] + adds + l * m, parts[2] + halvings)
-        assert _ops(row.kernel, l, n, m) == parts, n
-        assert predict_count(strategy, l, n, m) == parts[0], n
-        assert (parts[2] > 0) == (row.halves_above is not None and n > row.halves_above), n
+        assert _ops(row.kernel, l, n, m) == parts == dispatch.cost(strategy, l, n, m), n

@@ -105,6 +105,16 @@ def test_symbolic_identities_hold(strategy, shape):
     assert report.ok, report.describe()
 
 
+#: SCHEDULE_CASES once each, named like general-3x69x4.
+_AUDIT_CASES = {f"{s.value}-{l}x{n}x{m}": (s, (l, n, m)) for s, (l, n, m) in SCHEDULE_CASES}
+
+
+@pytest.mark.parametrize("strategy,shape", _AUDIT_CASES.values(), ids=_AUDIT_CASES)
+def test_count_audit_holds_on_every_schedule_case(strategy, shape):
+    # all three figures of the table's cost against the tally
+    count_audit(strategy, *shape)
+
+
 def _lines_run(cases):
     """Each case's kernel run once on random integers, traced: the code
     objects of the files that hold kernel and combinator bodies
@@ -170,6 +180,12 @@ def test_symbolic_term_budget_guard():
 
 # ---------------------------------------------------------------------------
 # mutation harness: single-token corruptions of the schedules must be caught
+
+
+def _verify_mutant(monkeypatch, strategy, mutant, shape):
+    """symbolic_verify of strategy at shape with its table row running mutant."""
+    monkeypatch.setitem(dispatch._TABLE, strategy, dispatch._TABLE[strategy]._replace(kernel=mutant))
+    return symbolic_verify(strategy, *shape)
 
 
 def _mutant_core3_p7_sign(A, B):
@@ -303,13 +319,12 @@ def _mutant_winograd_dropped_correction(A, B):
         (_mutant_winograd_dropped_correction, Strategy.WINOGRAD_EVEN, (2, 4, 2)),
     ],
 )
-def test_mutations_are_detected(mutant, strategy, shape):
-    report = symbolic_verify(strategy, *shape, kernel=mutant)
-    assert not report.ok
+def test_mutations_are_detected(monkeypatch, mutant, strategy, shape):
+    assert not _verify_mutant(monkeypatch, strategy, mutant, shape).ok
 
 
-def test_p7_sign_flip_witness_names_the_monomial():
-    report = symbolic_verify(Strategy.GENERAL_ODD, 1, 3, 3, kernel=_mutant_core3_p7_sign)
+def test_p7_sign_flip_witness_names_the_monomial(monkeypatch):
+    report = _verify_mutant(monkeypatch, Strategy.GENERAL_ODD, _mutant_core3_p7_sign, (1, 3, 3))
     assert not report.ok
     assert report.entry == (0, 0)
     assert report.monomial == "b12*b21"
@@ -324,11 +339,11 @@ def _mutant_naive_reads_b12(A, B):
     return Matrix(C.ring, C.rows, C.cols, out)
 
 
-def test_witness_is_the_least_monomial_by_exponent_vector():
+def test_witness_is_the_least_monomial_by_exponent_vector(monkeypatch):
     # the wrong entry is a11*b12 - a11*b11: over (a11, ..., b33) the
     # exponent vector of a11*b12 is the smaller, though its key (0, 4)
     # sorts after a11*b11's (0, 3) as a plain tuple
-    report = symbolic_verify(Strategy.NAIVE, 1, 3, 3, kernel=_mutant_naive_reads_b12)
+    report = _verify_mutant(monkeypatch, Strategy.NAIVE, _mutant_naive_reads_b12, (1, 3, 3))
     assert (report.entry, report.monomial, report.coefficient) == ((0, 0), "a11*b12", 1)
 
 
@@ -434,6 +449,29 @@ def test_count_audit_mismatch_raises():
         assert info.value.observed == 16
     finally:
         dispatch._TABLE[Strategy.NAIVE] = row
+
+
+def test_count_audit_names_the_figure_that_differs(monkeypatch):
+    # one extra addition and the same multiplications: a multiplication
+    # count alone would pass this kernel
+    row = dispatch._TABLE[Strategy.NAIVE]
+
+    def one_more_addition(A, B):
+        C = naive(A, B)
+        C[0, 0] + C[0, 0]
+        return C
+
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, row._replace(kernel=one_more_addition))
+    with pytest.raises(CountMismatch, match="predicted 8 additions, observed 9$") as info:
+        count_audit(Strategy.NAIVE, 2, 3, 2)
+    assert (info.value.figure, info.value.predicted, info.value.observed) == ("additions", 8, 9)
+    # a cost that claims one halving too many
+    row = dispatch._TABLE[Strategy.WAKSMAN_EVEN]
+    wrong = row._replace(cost=lambda l, n, m: (*row.cost(l, n, m)[:2], row.cost(l, n, m)[2] + 1))
+    monkeypatch.setitem(dispatch._TABLE, Strategy.WAKSMAN_EVEN, wrong)
+    with pytest.raises(CountMismatch) as info:
+        count_audit(Strategy.WAKSMAN_EVEN, 2, 4, 3)
+    assert (info.value.figure, info.value.predicted, info.value.observed) == ("halvings", 9, 8)
 
 
 # ---------------------------------------------------------------------------
