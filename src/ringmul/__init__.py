@@ -11,9 +11,9 @@ schedule over the free commutative ring and audits the counts of the
 strategy table, which `multiply` reports without counting.
 
 `multiply` needs neither verification nor polynomials, so they load on
-first use: the submodules `verify` and `polynomials`, the five verify
+first use: the submodules `verify` and `polynomials`, the four verify
 functions (count_audit, noncommutative_witness, randomized_check,
-symbolic_verify, taint_audit) and PolynomialRing and SparsePolynomial
+symbolic_verify) and PolynomialRing and SparsePolynomial
 are resolved through the module `__getattr__` and keep their names here.
 """
 
@@ -85,7 +85,6 @@ __all__ = [
     "randomized_check",
     "ring_axiom_check",
     "symbolic_verify",
-    "taint_audit",
     "tally",
     "waksman_even",
     "waksman_odd",
@@ -100,7 +99,6 @@ _LAZY = {
     "noncommutative_witness": "verify",
     "randomized_check": "verify",
     "symbolic_verify": "verify",
-    "taint_audit": "verify",
     "polynomials": "polynomials",
     "PolynomialRing": "polynomials",
     "SparsePolynomial": "polynomials",

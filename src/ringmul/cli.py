@@ -59,12 +59,13 @@ _JSON_SAFE = 1 << 53
 #: How every integer from a file or a flag is spelled: ASCII digits, optional sign.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 #: Largest bound verify accepts in each of L, N, M.  The suites' run time
-#: grows about with the square of L*N*M; 16,16,16 takes about 80 s on a
-#: shared 2-core VM.
+#: grows about with the square of L*N*M; 16,16,16 takes about 45 s on a
+#: shared 2-core VM (counts 22 s, random 21 s, clipped symbolic 0.4 s).
 _VERIFY_SHAPE_CAP = 16
 #: The symbolic suite walks the same grid clipped to these L, N, M bounds:
 #: its polynomial expansion grows fastest of the three suites (on a shared
-#: 2-core VM the full grid at 10,10,10 takes about 4 s, the clipped one 0.3 s).
+#: 2-core VM the full grid takes 4-7 s at 10,10,10 and about 1 min at
+#: 16,16,16, the clipped one 0.4 s).
 _SYMBOLIC_CAP = (4, 7, 7)
 #: Largest bound table accepts in each of L, N, M.  table_rows holds every
 #: row before printing: 64,64,64 gives 123,008 rows in 1.1 s (CSV) to

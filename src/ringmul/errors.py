@@ -19,7 +19,8 @@ class NotEvenlyDivisible(ArithmeticError):
 
 class CountMismatch(Exception):
     """An observed operation tally differs from the predicted one; figure
-    names which: multiplications, additions or halvings."""
+    names which: multiplications, additions, halvings or constant
+    multiplications."""
 
     def __init__(self, message, predicted=None, observed=None, figure=None):
         super().__init__(message)

@@ -345,9 +345,10 @@ class CountedRing(Ring):
     general ring multiplications that the cost model prices, and apart
     from them adds (each ``+``, ``-`` and unary minus) and exact
     halvings.  untainted counts the multiplications that consumed an
-    operand not derived from the inputs; the schedules here never
-    perform one.  One instance is one computation context, so concurrent
-    computations never share state; tally() makes one per counted run.
+    operand not derived from the inputs; count_audit checks that it is
+    0, as it is for every schedule here.  One instance is one
+    computation context, so concurrent computations never share state;
+    tally() makes one per counted run.
     """
 
     def __init__(self, base):

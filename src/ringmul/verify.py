@@ -17,8 +17,9 @@ Three independent routes:
     proves that set, derived from the table;
   - count_audit asserts that the tallied multiplications, additions and
     halvings equal the strategy table's closed forms, whatever the input
-    values.  It backs the count that `dispatch.multiply` reports, for
-    multiply reads the table's closed form and counts nothing.
+    values, and that no multiplication consumed a constant.  It backs
+    the count that `dispatch.multiply` reports, for multiply reads the
+    table's closed form and counts nothing.
 
 noncommutative_witness demonstrates the flip side: over a ring where
 multiplication does not commute (2x2 integer matrices) the 3x3 schedule,
@@ -172,32 +173,28 @@ def count_audit(strategy, l, n, m, seed=0):
     """Assert the tally is the predicted cost and input-independent.
 
     Counts the strategy's kernel afresh, one `tally` run on each of two
-    distinct random inputs; raises CountMismatch on the first figure
-    (multiplications, then additions, then halvings) where either tally
-    differs from the table's closed form (they cannot differ from each
-    other then).  Returns the CostReport.
+    distinct random inputs, and compares four figures: multiplications,
+    additions and halvings against the table's closed form, and constant
+    multiplications (CountedRing.untainted, those that consumed an
+    operand not derived from the inputs) against 0, for the paper's
+    counts price only products of two entry-derived values.  Raises
+    CountMismatch on the first figure, in that order, where either tally
+    differs (they cannot differ from each other then).  Returns the
+    CostReport.
     """
-    predicted = cost(strategy, l, n, m)
+    figures = "multiplications", "additions", "halvings", "constant multiplications"
+    predicted = (*cost(strategy, l, n, m), 0)
     kernel = kernel_for(strategy)
     rng = random.Random(seed)
     for _ in range(2):
         A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
         counted = tally(kernel, A, B)[1]
-        observed = counted.count, counted.adds, counted.halvings
-        for figure, want, got in zip(("multiplications", "additions", "halvings"), predicted, observed):
+        observed = counted.count, counted.adds, counted.halvings, counted.untainted
+        for figure, want, got in zip(figures, predicted, observed):
             if got != want:
                 message = f"{strategy} on ({l},{n},{m}): predicted {want} {figure}, observed {got}"
                 raise CountMismatch(message, predicted=want, observed=got, figure=figure)
     return CostReport(strategy, l, n, m, predicted[0], observed[0])
-
-
-def taint_audit(strategy, l, n, m, seed=0):
-    """Count multiplications that consumed an operand not derived from
-    the input matrices.  The schedules here never multiply by injected
-    constants, so this is zero for every supported shape."""
-    rng = random.Random(seed)
-    A, B = random_matrix(ZZ, l, n, rng), random_matrix(ZZ, n, m, rng)
-    return tally(kernel_for(strategy), A, B)[1].untainted
 
 
 class NoncommutativeWitness(NamedTuple):

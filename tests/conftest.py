@@ -1,6 +1,6 @@
 import pytest
 
-from ringmul import ZZ, Mat2Ring, Matrix, matrix_from_ints, tally
+from ringmul import ZZ, Mat2Ring, Matrix, Strategy, dispatch, matrix_from_ints, naive, tally
 
 # Frozen regression fixture: 3x3 matrices over 2x2 integer matrices on
 # which the 21-multiplication schedule disagrees with the textbook
@@ -30,3 +30,16 @@ def frozen_noncommutative_pair():
 def run_counted(kernel, a_rows, b_rows):
     """tally of kernel on integer rows: (product over ZZ, the run's CountedRing)."""
     return tally(kernel, matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, b_rows))
+
+
+@pytest.fixture
+def naive_with_constant_b11(monkeypatch):
+    """The naive row's kernel reading the constant 1 where b11 should be:
+    it spends naive's multiplications, additions and halvings, but l of
+    its multiplications consume a constant."""
+
+    def kernel(A, B):
+        return naive(A, Matrix(B.ring, B.rows, B.cols, [B.ring.from_int(1), *B.data[1:]]))
+
+    row = dispatch._TABLE[Strategy.NAIVE]
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, row._replace(kernel=kernel))

@@ -547,6 +547,20 @@ def test_verify_counts_failure_names_the_figure(capsys, monkeypatch):
     assert failing[0] == {"strategy": "naive", "shape": [1, 1, 1], "figure": "additions", "predicted": 0, "observed": 1}
 
 
+def test_verify_counts_fails_a_multiplication_by_a_constant(capsys, naive_with_constant_b11):
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "counts", "--max-shape", "1,2,2"])
+    assert code == 1
+    failing = json.loads(stdout)["suites"]["counts"]["failures"]
+    assert {f["strategy"] for f in failing} == {"naive"}
+    assert failing[0] == {
+        "strategy": "naive",
+        "shape": [1, 1, 1],
+        "figure": "constant multiplications",
+        "predicted": 0,
+        "observed": 1,
+    }
+
+
 def test_table_csv(capsys):
     code, stdout, _ = _run(capsys, ["table", "--lmax", "3", "--nmax", "3", "--mmax", "4"])
     assert code == 0

@@ -61,7 +61,7 @@ def test_row_against_oracle():
     assert got.to_rows() == [[30, 36, 42]]
 
 
-def test_mul_n3_33_tally_is_6n_plus_3():
+def test_core3_times_3xm_tally_is_6n_plus_3():
     rng = random.Random(0)
     for n in range(1, 11):
         a_rows = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(n)]
@@ -70,18 +70,18 @@ def test_mul_n3_33_tally_is_6n_plus_3():
         assert got == naive(matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, B9))
 
 
-def test_mul_n3_33_single_row_uses_nine_products():
+def test_core3_times_3xm_single_row_uses_nine_products():
     _, tally = run_counted(core3_times_3xm, [[2, -1, 5]], B9)
     assert tally.count == 9
 
 
-def test_mul_n3_33_identity_input():
+def test_core3_times_3xm_identity_input():
     got, tally = run_counted(core3_times_3xm, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], B9)
     assert got == matrix_from_ints(ZZ, B9)
     assert tally.count == 21
 
 
-def test_mul_n3_33_shape_checks():
+def test_core3_times_3xm_shape_checks():
     with pytest.raises(ShapeError):
         core3_times_3xm(matrix_from_ints(ZZ, [[1, 2]]), matrix_from_ints(ZZ, B9))
     with pytest.raises(ShapeError):
@@ -90,19 +90,19 @@ def test_mul_n3_33_shape_checks():
         core3_times_3xm(matrix_from_ints(ZZ, [[1, 2, 3]]), matrix_from_ints(ZZ, [[1, 2]]))
 
 
-def test_mul_33_33_identities():
+def test_core3_times_3xm_3x3_identities():
     I = Matrix.identity(ZZ, 3)
     got, tally = run_counted(core3_times_3xm, I.to_rows(), I.to_rows())
     assert got == I
     assert tally.count == 21
 
 
-def test_mul_33_33_all_ones():
+def test_core3_times_3xm_3x3_all_ones():
     A = matrix_from_ints(ZZ, ONES)
     assert core3_times_3xm(A, A).to_rows() == [[3, 3, 3], [3, 3, 3], [3, 3, 3]]
 
 
-def test_mul_33_33_random_oracle():
+def test_core3_times_3xm_3x3_random_oracle():
     rng = random.Random(1)
     for _ in range(300):
         a = [[rng.randint(-100, 100) for _ in range(3)] for _ in range(3)]

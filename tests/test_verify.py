@@ -17,7 +17,6 @@ from ringmul import (
     TermBudgetExceeded,
     WitnessNotFound,
     ZZ,
-    cli,
     core3_times_3xm,
     count_audit,
     kernel_for,
@@ -26,7 +25,6 @@ from ringmul import (
     random_matrix,
     randomized_check,
     symbolic_verify,
-    taint_audit,
 )
 
 # ---------------------------------------------------------------------------
@@ -64,8 +62,11 @@ def _seam_cases():
     return cases
 
 
-#: One entry per schedule case that the symbolic proof and the kernels'
-#: line coverage both walk: hand-picked cases, then _seam_cases.
+#: The schedule cases that the symbolic proof, the count audit and the
+#: kernels' line coverage all walk: hand-picked cases, _seam_cases, then
+#: edge shapes.  pytest names each proof case by its index, so new cases
+#: go at the end, and five hand-picked cases that _seam_cases repeats
+#: keep both places; the audit names each case once, by _AUDIT_CASES.
 SCHEDULE_CASES = [
     (Strategy.GENERAL_ODD, (1, 3, 3)),
     (Strategy.GENERAL_ODD, (4, 3, 3)),
@@ -96,6 +97,20 @@ SCHEDULE_CASES = [
     (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
     (Strategy.WAKSMAN_ODD, (2, 1, 3)),  # n = 1: naive alone
     *_seam_cases(),
+    # shapes at the edges of the cost forms: n = 1, l = 1 or m = 1, l and
+    # m up to 16 or 20, and most rows once more at small mixed l, n, m
+    (Strategy.GENERAL_ODD, (3, 3, 3)),
+    (Strategy.GENERAL_ODD, (4, 7, 6)),
+    (Strategy.WAKSMAN_EVEN, (3, 4, 3)),
+    (Strategy.WINOGRAD_EVEN, (2, 6, 2)),
+    (Strategy.WAKSMAN_ODD, (2, 5, 2)),
+    (Strategy.NAIVE, (2, 3, 4)),
+    (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
+    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
+    *[(Strategy.NAIVE, s) for s in ((4, 1, 3), (16, 1, 2), (2, 1, 15), (3, 4, 5), (16, 15, 16), (16, 12, 16))],
+    *[(Strategy.WINOGRAD_EVEN, s) for s in ((3, 4, 5), (16, 12, 16), (2, 8, 7))],
+    *[(Strategy.WAKSMAN_EVEN, s) for s in ((1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
+    *[(Strategy.GENERAL_ODD, (l, 3, m)) for l, m in ((3, 5), (16, 16), (5, 20))],
 ]
 
 
@@ -111,7 +126,7 @@ _AUDIT_CASES = {f"{s.value}-{l}x{n}x{m}": (s, (l, n, m)) for s, (l, n, m) in SCH
 
 @pytest.mark.parametrize("strategy,shape", _AUDIT_CASES.values(), ids=_AUDIT_CASES)
 def test_count_audit_holds_on_every_schedule_case(strategy, shape):
-    # all three figures of the table's cost against the tally
+    # the table's three figures, and no multiplication by a constant
     count_audit(strategy, *shape)
 
 
@@ -474,30 +489,17 @@ def test_count_audit_names_the_figure_that_differs(monkeypatch):
     assert (info.value.figure, info.value.predicted, info.value.observed) == ("halvings", 9, 8)
 
 
+def test_count_audit_catches_a_multiplication_by_a_constant(naive_with_constant_b11):
+    # the mutant spends naive's multiplications, additions and halvings,
+    # so only the fourth figure tells it apart: b11 meets each of the l
+    # rows of A in one product
+    with pytest.raises(CountMismatch, match="predicted 0 constant multiplications, observed 2$") as info:
+        count_audit(Strategy.NAIVE, 2, 3, 2)
+    assert (info.value.figure, info.value.predicted, info.value.observed) == ("constant multiplications", 0, 2)
+
+
 # ---------------------------------------------------------------------------
-# taint audit and the commutativity witness
-
-
-@pytest.mark.parametrize(
-    "strategy,shape",
-    [
-        (Strategy.GENERAL_ODD, (3, 3, 3)),
-        (Strategy.GENERAL_ODD, (4, 7, 6)),
-        (Strategy.WAKSMAN_EVEN, (3, 4, 3)),
-        (Strategy.WINOGRAD_EVEN, (2, 6, 2)),
-        (Strategy.WAKSMAN_ODD, (2, 5, 2)),
-        (Strategy.NAIVE, (2, 3, 4)),
-        (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
-        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
-    ],
-)
-def test_no_multiplications_by_constants(strategy, shape):
-    assert taint_audit(strategy, *shape) == 0
-
-
-def test_no_strategy_multiplies_a_constant_on_the_verify_grid():
-    # every (strategy, l, n, m) that `ringmul verify` walks by default
-    assert [s for s in cli._supported_shapes(3, 7, 6) if taint_audit(*s)] == []
+# the commutativity witness
 
 
 def test_witness_search_finds_disagreement():
