@@ -552,13 +552,7 @@ def test_verify_counts_fails_a_multiplication_by_a_constant(capsys, naive_with_c
     assert code == 1
     failing = json.loads(stdout)["suites"]["counts"]["failures"]
     assert {f["strategy"] for f in failing} == {"naive"}
-    assert failing[0] == {
-        "strategy": "naive",
-        "shape": [1, 1, 1],
-        "figure": "constant multiplications",
-        "predicted": 0,
-        "observed": 1,
-    }
+    assert failing[0] == dict(strategy="naive", shape=[1, 1, 1], figure="constant multiplications", predicted=0, observed=1)
 
 
 def test_table_csv(capsys):

@@ -99,18 +99,13 @@ SCHEDULE_CASES = [
     *_seam_cases(),
     # shapes at the edges of the cost forms: n = 1, l = 1 or m = 1, l and
     # m up to 16 or 20, and most rows once more at small mixed l, n, m
-    (Strategy.GENERAL_ODD, (3, 3, 3)),
-    (Strategy.GENERAL_ODD, (4, 7, 6)),
-    (Strategy.WAKSMAN_EVEN, (3, 4, 3)),
-    (Strategy.WINOGRAD_EVEN, (2, 6, 2)),
+    *[(Strategy.NAIVE, s) for s in ((4, 1, 3), (16, 1, 2), (2, 1, 15), (2, 3, 4), (3, 4, 5), (16, 15, 16), (16, 12, 16))],
+    *[(Strategy.WINOGRAD_EVEN, s) for s in ((2, 6, 2), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
+    *[(Strategy.WAKSMAN_EVEN, s) for s in ((3, 4, 3), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
+    *[(Strategy.GENERAL_ODD, s) for s in ((3, 3, 3), (4, 7, 6), (3, 3, 5), (16, 3, 16), (5, 3, 20))],
     (Strategy.WAKSMAN_ODD, (2, 5, 2)),
-    (Strategy.NAIVE, (2, 3, 4)),
     (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
     (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
-    *[(Strategy.NAIVE, s) for s in ((4, 1, 3), (16, 1, 2), (2, 1, 15), (3, 4, 5), (16, 15, 16), (16, 12, 16))],
-    *[(Strategy.WINOGRAD_EVEN, s) for s in ((3, 4, 5), (16, 12, 16), (2, 8, 7))],
-    *[(Strategy.WAKSMAN_EVEN, s) for s in ((1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
-    *[(Strategy.GENERAL_ODD, (l, 3, m)) for l, m in ((3, 5), (16, 16), (5, 20))],
 ]
 
 
