@@ -16,8 +16,10 @@ the change first for even seeds.  The last stdout line of each run is its
 JSON result.  The file records, for each end-to-end metric, the median
 and quartiles of each side, the parent's spread, the change's median
 move, how many pairs the change won and lost, and a verdict against the
-metric's bound.  It exits 1 if a run reports a wrong product; it stops
-at the first run that fails.
+metric's bound.  No gain is claimed or judged.  A run that exits
+nonzero is listed under its workload's "crashed" key and the job goes
+on; the statistics then use the seeds where both sides ran.  The script
+exits 1 if a run crashed or reported a wrong product.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ STATISTICS = (
     "metric's direction, ties counting for neither; a metric is unresolved where the parent's IQR "
     "exceeds its bound and not every change run beats every parent run"
 )
+CLAIM = "none: no gain is claimed; every end-to-end metric must stay within its BENCHMARK.json bound"
 
 
 def git(*args):
@@ -55,11 +58,13 @@ def extract(rev, root):
 
 
 def run_once(command, copy, workload, seed, seconds):
+    """The run's JSON result, or None if it exited nonzero."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{' '.join(argv)} in {copy} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+        print(f"{' '.join(argv)} in {copy} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}", file=sys.stderr)
+        return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -103,10 +108,6 @@ def main(argv=None):
     parser.add_argument("change", help="the commit to compare with it")
     parser.add_argument("out", help="the file to write, BENCH_<n>.json")
     parser.add_argument("--title", required=True, help="what the change does, one line")
-    parser.add_argument(
-        "--claim",
-        default="none: no gain is claimed; every end-to-end metric must stay within its BENCHMARK.json bound",
-    )
     parser.add_argument("--host", default=f"{os.cpu_count()}-core host", help="the machine, as far as known")
     args = parser.parse_args(argv)
 
@@ -125,36 +126,44 @@ def main(argv=None):
             check=True, capture_output=True, text=True,
         ).stdout.strip()
         workloads = {}
-        wrong = []
+        wrong, crashed = [], []
         for workload in (w["name"] for w in spec["workloads"]):
-            results = {"parent": [], "change": []}
+            results, lost = {"parent": {}, "change": {}}, []
             for i in seeds:
                 order = ("parent", "change") if first[str(i)] == "parent" else ("change", "parent")
                 for side in order:
                     result = run_once(command, copies[side], workload, i, seconds)
-                    results[side].append(result)
+                    if result is None:
+                        lost.append(f"seed {i} {side}")
+                        continue
+                    results[side][i] = result
                     if not result["correct"]:
                         wrong.append(f"{workload} seed {i} {side}")
                     print(f"{workload} seed {i} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+            paired = [i for i in seeds if all(i in rs for rs in results.values())]
+            runs = {side: [rs[i] for i in paired] for side, rs in results.items()}
             workloads[workload] = {
-                "seeds": seeds,
+                "seeds": paired,
                 "first": first,
                 "metrics": {
                     m["name"]: compare(
                         m,
-                        [r["metrics"][m["name"]]["value"] for r in results["parent"]],
-                        [r["metrics"][m["name"]]["value"] for r in results["change"]],
+                        [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+                        [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                     )
                     for m in spec["end_to_end"]
-                },
-                "attempted": {side: [r["attempted"] for r in rs] for side, rs in results.items()},
-                "failed": {side: [r["failed"] for r in rs] for side, rs in results.items()},
+                } if len(paired) > 1 else {},
+                "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+                "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
             }
+            if lost:
+                workloads[workload]["crashed"] = lost
+                crashed += [f"{workload} {run}" for run in lost]
     run = " ".join([*command, "--workload W --seed i --seconds", f"{seconds:g}", "--trace 0"])
     bench = {
         "series": "BENCH",
         "change": args.title,
-        "claim": args.claim,
+        "claim": CLAIM,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "change_src_tree": git("rev-parse", f"{commits['change']}:src").decode().strip(),
@@ -175,10 +184,11 @@ def main(argv=None):
         for metric, entry in workload["metrics"].items():
             print(f"{name} {metric}: {entry['parent']['median']:.6g} -> {entry['change']['median']:.6g} "
                   f"({entry['median_change_frac']:+.2%}), {entry['verdict']}")
+    if crashed:
+        print(f"crashed runs: {', '.join(crashed)}", file=sys.stderr)
     if wrong:
         print(f"wrong products: {', '.join(wrong)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if crashed or wrong else 0
 
 
 if __name__ == "__main__":
