@@ -154,9 +154,6 @@ MIRRORS = {
 }
 _TABLE.update({mirror: _mirrored(_TABLE[s]) for s, mirror in MIRRORS.items()})
 
-#: Preference order for breaking predicted-count ties: the table's order.
-TIE_ORDER = tuple(_TABLE)
-
 
 def cost(strategy, l, n, m):
     """Closed-form (multiplications, additions, halvings) of strategy at (l, n, m).
@@ -192,9 +189,9 @@ def applicable(strategy, l, n, m, supports_halving):
 @functools.lru_cache(maxsize=1024)
 def choose_strategy(l, n, m, supports_halving=True):
     """Deterministic strategy choice: the lowest predicted count among the
-    strategies applicable to the shape and ring capabilities.  Tie order
-    is table order: min keeps the first of equal counts, and _TABLE's rows
-    are written in preference order (TIE_ORDER).
+    strategies applicable to the shape and ring capabilities.  Ties go to
+    the earlier _TABLE row: min keeps the first of equal counts, and the
+    rows are written in preference order.
     """
     if l < 1 or n < 1 or m < 1:
         raise UnsupportedShape(f"dimensions must be positive, got ({l}, {n}, {m})")

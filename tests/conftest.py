@@ -27,6 +27,28 @@ def frozen_noncommutative_pair():
     return mat2_matrix(ring, WITNESS_A), mat2_matrix(ring, WITNESS_B)
 
 
+# The paper's multiplication counts, written once for the tests that
+# check a tally against them (test_acceptance.py, test_general.py).
+
+
+def odd_n_count(l, n, m):
+    """mul_odd_n, l x n times n x m, n odd >= 3, m >= 3."""
+    s = l * m + l + m - 1
+    return n * s // 2 if m % 2 else (n * s + l - 1) // 2
+
+
+def core_block_count(l, m):
+    """core3_times_3xm, l x 3 times 3 x m, m >= 3."""
+    if m % 2:
+        return 3 * (l * m + l + m - 1) // 2
+    return 2 * (l - 1) + 3 * (l * m + m) // 2
+
+
+def odd_n_winograd_count(l, n, m):
+    """mul_odd_n_winograd: the core block plus Winograd's remainder."""
+    return core_block_count(l, m) + (n - 3) * (l * m + l + m) // 2
+
+
 def run_counted(kernel, a_rows, b_rows):
     """tally of kernel on integer rows: (product over ZZ, the run's CountedRing)."""
     return tally(kernel, matrix_from_ints(ZZ, a_rows), matrix_from_ints(ZZ, b_rows))

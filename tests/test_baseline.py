@@ -194,6 +194,8 @@ def test_baselines_agree_with_naive_on_grid():
         kernels = [waksman_odd] if n % 2 else [winograd_even, waksman_even]
         for l in range(1, 7):
             for m in range(1, 7):
+                if n % 2 and n > 1 and l <= 5 and m >= 3:
+                    continue  # acceptance criterion 6 runs waksman_odd here
                 rng = random.Random(f"baseline:{l}:{n}:{m}")
                 for _ in range(200):
                     A = random_matrix(ring, l, n, rng)

@@ -17,7 +17,6 @@ from ringmul import (
     TermBudgetExceeded,
     WitnessNotFound,
     ZZ,
-    core3_times_3xm,
     count_audit,
     kernel_for,
     naive,
@@ -62,64 +61,60 @@ def _seam_cases():
     return cases
 
 
-#: The schedule cases that the symbolic proof, the count audit and the
-#: kernels' line coverage all walk: hand-picked cases, _seam_cases, then
-#: edge shapes.  pytest names each proof case by its index, so new cases
-#: go at the end, and five hand-picked cases that _seam_cases repeats
-#: keep both places; the audit names each case once, by _AUDIT_CASES.
-SCHEDULE_CASES = [
-    (Strategy.GENERAL_ODD, (1, 3, 3)),
-    (Strategy.GENERAL_ODD, (4, 3, 3)),
-    (Strategy.GENERAL_ODD, (2, 3, 5)),
-    (Strategy.GENERAL_ODD, (2, 5, 4)),
-    (Strategy.GENERAL_ODD, (3, 7, 6)),
-    (Strategy.WAKSMAN_EVEN, (2, 4, 2)),
-    (Strategy.WINOGRAD_EVEN, (2, 2, 3)),
-    (Strategy.WAKSMAN_ODD, (3, 3, 3)),
-    (Strategy.WAKSMAN_ODD, (2, 5, 3)),
-    (Strategy.NAIVE, (2, 3, 2)),
-    (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
-    (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
-    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
-    # base kernels past FOLD_CAP = 32 terms; _seam_cases covers these,
-    # and they stay because pytest names each case by its index
-    (Strategy.NAIVE, (2, 33, 2)),
-    (Strategy.NAIVE, (2, 65, 2)),
-    (Strategy.WINOGRAD_EVEN, (2, 66, 2)),
-    (Strategy.WAKSMAN_EVEN, (2, 66, 3)),
-    # one case per split and mirrored row with n above its lead's width:
-    # general's n = 69 leaves a 66-wide remainder, whose 33-term folds
-    # split (n = 67 would leave exactly 32, which never splits)
-    (Strategy.WAKSMAN_ODD, (2, 67, 2)),
-    (Strategy.GENERAL_ODD, (3, 69, 4)),
-    (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
-    (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
-    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
-    (Strategy.WAKSMAN_ODD, (2, 1, 3)),  # n = 1: naive alone
-    *_seam_cases(),
-    # shapes at the edges of the cost forms: n = 1, l = 1 or m = 1, l and
-    # m up to 16 or 20, and most rows once more at small mixed l, n, m
-    *[(Strategy.NAIVE, s) for s in ((4, 1, 3), (16, 1, 2), (2, 1, 15), (2, 3, 4), (3, 4, 5), (16, 15, 16), (16, 12, 16))],
-    *[(Strategy.WINOGRAD_EVEN, s) for s in ((2, 6, 2), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
-    *[(Strategy.WAKSMAN_EVEN, s) for s in ((3, 4, 3), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
-    *[(Strategy.GENERAL_ODD, s) for s in ((3, 3, 3), (4, 7, 6), (3, 3, 5), (16, 3, 16), (5, 3, 20))],
-    (Strategy.WAKSMAN_ODD, (2, 5, 2)),
-    (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
-    (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
-]
+def _named(cases):
+    """cases keyed like general-3x69x4; a case listed twice is an error."""
+    table = {f"{s.value}-{l}x{n}x{m}": (s, (l, n, m)) for s, (l, n, m) in cases}
+    if len(table) != len(cases):
+        raise ValueError(f"{len(cases) - len(table)} schedule cases listed twice")
+    return table
 
 
-@pytest.mark.parametrize("strategy,shape", SCHEDULE_CASES)
+#: Every schedule case, once, keyed by strategy and shape.  The symbolic
+#: proof, the count audit and the kernels' line coverage all walk this
+#: table: hand-picked cases, _seam_cases, then edge shapes.
+SCHEDULE_CASES = _named(
+    [
+        (Strategy.GENERAL_ODD, (2, 5, 4)),
+        (Strategy.GENERAL_ODD, (3, 7, 6)),
+        (Strategy.WAKSMAN_EVEN, (2, 4, 2)),
+        (Strategy.WAKSMAN_ODD, (3, 3, 3)),
+        (Strategy.WAKSMAN_ODD, (2, 5, 3)),
+        (Strategy.NAIVE, (2, 3, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (5, 3, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (4, 5, 1)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (4, 5, 2)),
+        # one case per split and mirrored row with n above its lead's width:
+        # general's n = 69 leaves a 66-wide remainder, whose 33-term folds
+        # split (n = 67 would leave exactly 32, which never splits)
+        (Strategy.WAKSMAN_ODD, (2, 67, 2)),
+        (Strategy.GENERAL_ODD, (3, 69, 4)),
+        (Strategy.GENERAL_WINOGRAD, (3, 69, 5)),
+        (Strategy.GENERAL_TRANSPOSED, (4, 69, 3)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (5, 69, 3)),
+        (Strategy.WAKSMAN_ODD, (2, 1, 3)),  # n = 1: naive alone
+        *_seam_cases(),
+        # shapes at the edges of the cost forms: n = 1, l = 1 or m = 1, l and
+        # m up to 16 or 20, and most rows once more at small mixed l, n, m
+        *[(Strategy.NAIVE, s) for s in ((4, 1, 3), (16, 1, 2), (2, 1, 15), (2, 3, 4), (3, 4, 5), (16, 15, 16), (16, 12, 16))],
+        *[(Strategy.WINOGRAD_EVEN, s) for s in ((2, 6, 2), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
+        *[(Strategy.WAKSMAN_EVEN, s) for s in ((3, 4, 3), (1, 4, 5), (3, 4, 5), (16, 12, 16), (2, 8, 7))],
+        *[(Strategy.GENERAL_ODD, s) for s in ((3, 3, 3), (4, 7, 6), (3, 3, 5), (16, 3, 16), (5, 3, 20))],
+        (Strategy.WAKSMAN_ODD, (2, 5, 2)),
+        (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
+        (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
+        # the 6l + 3 block at l = 5..10 rows, past the lead block's seam cases
+        *[(Strategy.GENERAL_ODD, (l, 3, 3)) for l in range(5, 11)],
+    ]
+)
+
+
+@pytest.mark.parametrize("strategy,shape", SCHEDULE_CASES.values(), ids=SCHEDULE_CASES)
 def test_symbolic_identities_hold(strategy, shape):
     report = symbolic_verify(strategy, *shape)
     assert report.ok, report.describe()
 
 
-#: SCHEDULE_CASES once each, named like general-3x69x4.
-_AUDIT_CASES = {f"{s.value}-{l}x{n}x{m}": (s, (l, n, m)) for s, (l, n, m) in SCHEDULE_CASES}
-
-
-@pytest.mark.parametrize("strategy,shape", _AUDIT_CASES.values(), ids=_AUDIT_CASES)
+@pytest.mark.parametrize("strategy,shape", SCHEDULE_CASES.values(), ids=SCHEDULE_CASES)
 def test_count_audit_holds_on_every_schedule_case(strategy, shape):
     # the table's three figures, and no multiplication by a constant
     count_audit(strategy, *shape)
@@ -162,7 +157,7 @@ def test_every_line_of_every_kernel_function_runs(monkeypatch):
     # its own domain can reach; an empty fold cache makes each fold's
     # generating code run too
     monkeypatch.setattr(baseline, "_FOLDS", {})
-    entered, ran = _lines_run(SCHEDULE_CASES)
+    entered, ran = _lines_run(SCHEDULE_CASES.values())
     domains = {row.domain.__code__ for row in dispatch._TABLE.values()}
     missed = []
     for code in entered:
@@ -198,8 +193,11 @@ def _verify_mutant(monkeypatch, strategy, mutant, shape):
     return symbolic_verify(strategy, *shape)
 
 
-def _mutant_core3_p7_sign(A, B):
-    # sign flip on the shared product b12*b21 in the first output column
+def _core3_written_out(A, B, flip_p7=False, swap_p2=False):
+    """The 3 x 3 schedule written out, with a token corrupted on request:
+    flip_p7 adds the shared product p7 = b12*b21 to the first output
+    column where it should subtract it, and swap_p2 builds p2 from b23
+    where it should read b13."""
     b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
     p7 = b1[1] * b2[0]
     p8 = b1[2] * b3[0]
@@ -208,44 +206,22 @@ def _mutant_core3_p7_sign(A, B):
     for i in range(A.rows):
         a1, a2, a3 = A.row_list(i)
         p1 = (a2 + b1[1]) * (a1 + b2[0])
-        p2 = (a3 + b1[2]) * (a1 + b3[0])
+        p2 = (a3 + (b2[2] if swap_p2 else b1[2])) * (a1 + b3[0])
         p3 = (a3 + b2[2]) * (a2 + b3[1])
         p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
         p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
         p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
-        out.extend(
-            [
-                p4 + p1 + p2 + p7 - p8,  # should subtract p7
-                p5 + p1 + p3 - p7 - p9,
-                p6 + p2 + p3 - p8 - p9,
-            ]
-        )
+        first = p4 + p1 + p2 + p7 - p8 if flip_p7 else p4 + p1 + p2 - p7 - p8
+        out.extend([first, p5 + p1 + p3 - p7 - p9, p6 + p2 + p3 - p8 - p9])
     return Matrix(A.ring, A.rows, 3, out)
+
+
+def _mutant_core3_p7_sign(A, B):
+    return _core3_written_out(A, B, flip_p7=True)
 
 
 def _mutant_core3_index_swap(A, B):
-    # p2 built from b23 instead of b13
-    b1, b2, b3 = B.row_list(0), B.row_list(1), B.row_list(2)
-    p7 = b1[1] * b2[0]
-    p8 = b1[2] * b3[0]
-    p9 = b2[2] * b3[1]
-    out = []
-    for i in range(A.rows):
-        a1, a2, a3 = A.row_list(i)
-        p1 = (a2 + b1[1]) * (a1 + b2[0])
-        p2 = (a3 + b2[2]) * (a1 + b3[0])  # b2[2] should be b1[2]
-        p3 = (a3 + b2[2]) * (a2 + b3[1])
-        p4 = a1 * (b1[0] - b1[1] - b1[2] - a2 - a3)
-        p5 = a2 * (b2[1] - b2[0] - b2[2] - a1 - a3)
-        p6 = a3 * (b3[2] - b3[0] - b3[1] - a1 - a2)
-        out.extend(
-            [
-                p4 + p1 + p2 - p7 - p8,
-                p5 + p1 + p3 - p7 - p9,
-                p6 + p2 + p3 - p8 - p9,
-            ]
-        )
-    return Matrix(A.ring, A.rows, 3, out)
+    return _core3_written_out(A, B, swap_p2=True)
 
 
 def _mutant_waksman_interior_sign(A, B):
@@ -440,25 +416,17 @@ def test_count_audit_runs_at_least_two_inputs(monkeypatch):
     assert len(runs) == 2 and runs[0] != runs[1]
 
 
-def test_count_audit_mismatch_raises():
-    import ringmul.dispatch as dispatch
-
+def test_count_audit_mismatch_raises(monkeypatch):
     row = dispatch._TABLE[Strategy.NAIVE]
-    original = row.kernel
 
     def doubled(A, B):
-        first = original(A, B)
-        original(A, B)  # run twice: tally doubles
-        return first
+        row.kernel(A, B)  # run twice: tally doubles
+        return row.kernel(A, B)
 
-    dispatch._TABLE[Strategy.NAIVE] = row._replace(kernel=doubled)
-    try:
-        with pytest.raises(CountMismatch) as info:
-            count_audit(Strategy.NAIVE, 2, 2, 2)
-        assert info.value.predicted == 8
-        assert info.value.observed == 16
-    finally:
-        dispatch._TABLE[Strategy.NAIVE] = row
+    monkeypatch.setitem(dispatch._TABLE, Strategy.NAIVE, row._replace(kernel=doubled))
+    with pytest.raises(CountMismatch) as info:
+        count_audit(Strategy.NAIVE, 2, 2, 2)
+    assert (info.value.predicted, info.value.observed) == (8, 16)
 
 
 def test_count_audit_names_the_figure_that_differs(monkeypatch):
@@ -508,11 +476,6 @@ def test_witness_search_budget_exhaustion():
         noncommutative_witness(seed=0, attempts=0)
 
 
-def test_frozen_witness_still_disagrees(frozen_noncommutative_pair):
-    A, B = frozen_noncommutative_pair
-    assert core3_times_3xm(A, B) != naive(A, B)
-
-
 def test_frozen_witness_naive_is_block_product(frozen_noncommutative_pair):
     # the textbook formula is ring-agnostic: its output must match the
     # hand-rolled sum of entry products, left factors on the left
@@ -525,13 +488,3 @@ def test_frozen_witness_naive_is_block_product(frozen_noncommutative_pair):
             for k in (1, 2):
                 want = want + arows[i][k] * brows[k][j]
             assert got[i, j] == want
-
-
-def test_diagonal_subring_commutes_with_schedule():
-    # diagonal 2x2 matrices commute, so the schedule agrees with naive
-    ring = Mat2Ring()
-    rng = random.Random(13)
-    for _ in range(25):
-        A = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
-        B = Matrix(ring, 3, 3, [ring.random_diagonal(rng) for _ in range(9)])
-        assert core3_times_3xm(A, B) == naive(A, B)

@@ -17,8 +17,9 @@ JSON result.  The file records, for each end-to-end metric, the median
 and quartiles of each side, the parent's spread, the change's median
 move, how many pairs the change won and lost, and a verdict against the
 metric's bound.  No gain is claimed or judged.  A run that exits
-nonzero is listed under its workload's "crashed" key and the job goes
-on; the statistics then use the seeds where both sides ran.  The script
+nonzero, or whose last stdout line is not a JSON result, is listed with
+its reason under its workload's "crashed" key and the job goes on; the
+statistics then use the seeds where both sides ran.  The script
 exits 1 if a run crashed or reported a wrong product.
 """
 
@@ -57,15 +58,31 @@ def extract(rev, root):
     return path
 
 
+#: The keys of a run's JSON result that the statistics read.
+RESULT_KEYS = {"correct", "metrics", "attempted", "failed"}
+
+
 def run_once(command, copy, workload, seed, seconds):
-    """The run's JSON result, or None if it exited nonzero."""
+    """(the run's JSON result, None), or (None, why the run gave none): it
+    exited nonzero, or its last stdout line is no JSON object with RESULT_KEYS."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0:
-        print(f"{' '.join(argv)} in {copy} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}", file=sys.stderr)
-        return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        why = f"exited {proc.returncode}"
+    elif not lines:
+        why = "printed nothing"
+    else:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+        if isinstance(result, dict) and RESULT_KEYS <= result.keys():
+            return result, None
+        why = "last stdout line is not a JSON result"
+    print(f"{' '.join(argv)} in {copy}: {why}:\n{proc.stdout}{proc.stderr}", file=sys.stderr)
+    return None, why
 
 
 def summary(runs):
@@ -132,9 +149,9 @@ def main(argv=None):
             for i in seeds:
                 order = ("parent", "change") if first[str(i)] == "parent" else ("change", "parent")
                 for side in order:
-                    result = run_once(command, copies[side], workload, i, seconds)
+                    result, why = run_once(command, copies[side], workload, i, seconds)
                     if result is None:
-                        lost.append(f"seed {i} {side}")
+                        lost.append(f"seed {i} {side}: {why}")
                         continue
                     results[side][i] = result
                     if not result["correct"]:
