@@ -102,7 +102,8 @@ SCHEDULE_CASES = _named(
         (Strategy.WAKSMAN_ODD, (2, 5, 2)),
         (Strategy.GENERAL_TRANSPOSED, (6, 7, 4)),
         (Strategy.GENERAL_WINOGRAD_TRANSPOSED, (6, 7, 2)),
-        # the 6l + 3 block at l = 5..10 rows, past the lead block's seam cases
+        # general at (l, 3, 3), l = 5..10: the 6l + 3 block on more rows than
+        # the lead block's seam cases reach
         *[(Strategy.GENERAL_ODD, (l, 3, 3)) for l in range(5, 11)],
     ]
 )
